@@ -33,9 +33,11 @@ from .potentials import (
 from .forward import (
     RESONANCE_RTOL,
     Snapshot,
+    SnapshotMatrix,
     TridiagonalOperator,
     analytic_background_transfer,
     assemble_operator,
+    compute_snapshot_matrix,
     operator_eigenvalues,
     resolvent_apply,
     solve_forward,
@@ -46,6 +48,7 @@ from .transfer import (
     SpectralSample,
     generate_dataset,
     load_dataset,
+    measure_dataset,
     measure_transfer,
     save_dataset,
     transfer_derivative,
@@ -55,10 +58,8 @@ from .rom import (
     DEFAULT_TRUNCATION_TOL,
     LanczosFactors,
     LoewnerPencil,
-    SnapshotMatrix,
     background_rom,
     build_loewner,
-    compute_snapshot_matrix,
     galerkin_internal,
     gram_oracle,
     lanczos,

@@ -5,32 +5,31 @@ class ImagingError(Exception):
     """Base class for domain-specific failures (as opposed to bad arguments)."""
 
 
-class ResonanceProximityError(ImagingError):
+class _NearResonanceError(ImagingError):
+    """A spectral parameter too close to a resonance; `what` ends the message."""
+
+    what = ""
+
+    def __init__(self, lam: float, distance: float):
+        self.lam = lam
+        self.distance = distance
+        super().__init__(f"lambda = {lam:.17g} is within {distance:.3e} of {self.what}")
+
+
+class ResonanceProximityError(_NearResonanceError):
     """The shifted operator is (near-)singular: lambda sits on a discrete resonance.
 
     Carries the offending spectral parameter and the distance to the nearest
     eigenvalue of the discretized operator.
     """
 
-    def __init__(self, lam: float, distance: float):
-        self.lam = lam
-        self.distance = distance
-        super().__init__(
-            f"lambda = {lam:.17g} is within {distance:.3e} of a discrete "
-            f"resonance; the shifted system is numerically singular"
-        )
+    what = "a discrete resonance; the shifted system is numerically singular"
 
 
-class PoleError(ImagingError):
+class PoleError(_NearResonanceError):
     """Closed-form background transfer function evaluated at one of its poles."""
 
-    def __init__(self, lam: float, distance: float):
-        self.lam = lam
-        self.distance = distance
-        super().__init__(
-            f"lambda = {lam:.17g} is within {distance:.3e} of a background "
-            f"resonance -(k*pi/L)^2 where the transfer function has a pole"
-        )
+    what = "a background resonance -(k*pi/L)^2 where the transfer function has a pole"
 
 
 class DegenerateMassError(ImagingError):
@@ -41,16 +40,10 @@ class DegenerateSourceError(ImagingError):
     """Source vector has no component in the retained range of the mass matrix."""
 
 
-class RomResonanceError(ImagingError):
+class RomResonanceError(_NearResonanceError):
     """Reduced model evaluated at an eigenvalue of its own tridiagonal matrix."""
 
-    def __init__(self, lam: float, distance: float):
-        self.lam = lam
-        self.distance = distance
-        super().__init__(
-            f"lambda = {lam:.17g} is within {distance:.3e} of a reduced-model "
-            f"resonance (eigenvalue of -T)"
-        )
+    what = "a reduced-model resonance (eigenvalue of -T)"
 
 
 class SampleAlignmentError(ImagingError):

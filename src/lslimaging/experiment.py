@@ -9,7 +9,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ExperimentError, ImagingError
-from .forward import solve_forward
+from .forward import compute_snapshot_matrix, solve_forward
 from .grid import Grid
 from .imaging import (
     DEFAULT_GRID_NODES,
@@ -20,9 +20,9 @@ from .imaging import (
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, background_rom, build_loewner, lanczos, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, build_loewner, lanczos, lsl_internal
 from .sampling import weyl_sample
-from .transfer import generate_dataset, save_dataset
+from .transfer import generate_dataset, measure_dataset, save_dataset
 
 _FMT = "{:.17g}"
 
@@ -209,8 +209,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         data = generate_dataset(config.potential, plan.lambdas, grid,
                                 label=f"{config.label}-true")
         stage = "simulate-background"
-        data0 = generate_dataset(ZeroPotential(), plan.lambdas, grid,
-                                 label=f"{config.label}-background")
+        V0 = compute_snapshot_matrix(ZeroPotential(), plan.lambdas, grid)
+        data0 = measure_dataset(V0, label=f"{config.label}-background")
 
         results: Dict[str, ReconstructionResult] = {}
         for method in config.methods:
@@ -218,7 +218,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             results[method] = reconstruct(
                 data, data0, method, grid=grid,
                 rel_threshold=config.rel_threshold,
-                truncation_tol=config.truncation_tol,
+                truncation_tol=config.truncation_tol, background=V0,
             )
 
         stage = "internal-solution"
@@ -227,7 +227,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         u_true = solve_forward(config.potential, lam_star, grid).values
         u_bg = solve_forward(ZeroPotential(), lam_star, grid).values
         if "lsl" in config.methods:
-            V0, factors0 = background_rom(data0, grid, config.truncation_tol)
+            factors0 = lanczos(build_loewner(data0), config.truncation_tol)
             factors = lanczos(build_loewner(data), config.truncation_tol)
             u_lsl = lsl_internal(V0, factors0, factors, lam_star).values
         else:

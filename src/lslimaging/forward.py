@@ -23,9 +23,10 @@ from .potentials import Potential
 # Relative spectral distance below which a shifted solve is refused.
 RESONANCE_RTOL = 1e-10
 
-# Pivot ratio that triggers the exact eigenvalue-distance check. Generous:
-# spurious triggers only cost one tridiagonal eigensolve.
-_PIVOT_TRIGGER = 1e-8
+# Sturm counts and computed eigenvalues agree only to ~5 eps * ||A|| (measured
+# at n = 2001), more than RESONANCE_RTOL for the low modes of fine grids, so
+# the count looks this much further and the full spectrum decides.
+_STURM_SLACK = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,30 +85,18 @@ def assemble_operator(p: Potential, grid: Grid) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, off=off)
 
 
-def operator_eigenvalues(op: TridiagonalOperator, grid: Grid) -> np.ndarray:
+def operator_eigenvalues(op: TridiagonalOperator, grid: Grid, select="a", select_range=None):
     """Discrete eigenvalues of the operator, ascending.
 
     These are the eigenvalues of the pencil (A, D) with D = weights/h,
     i.e. of the plain collocation matrix before row scaling; for p = 0
-    they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2.
+    they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. `select` and
+    `select_range` are those of scipy.linalg.eigvalsh_tridiagonal.
     """
     dw = grid.weights / grid.h
     bd = op.diag / dw
     be = op.off / np.sqrt(dw[:-1] * dw[1:])
-    return scipy.linalg.eigvalsh_tridiagonal(bd, be)
-
-
-def _min_pivot_ratio(c: np.ndarray, e: np.ndarray) -> float:
-    """Smallest |pivot| of the LDL^T factorization, relative to the row scale."""
-    scale = np.max(np.abs(c)) + 2.0 * np.max(np.abs(e))
-    piv = c[0]
-    smallest = abs(piv)
-    for i in range(1, c.size):
-        if piv == 0.0:
-            return 0.0
-        piv = c[i] - e[i - 1] * e[i - 1] / piv
-        smallest = min(smallest, abs(piv))
-    return smallest / scale
+    return scipy.linalg.eigvalsh_tridiagonal(bd, be, select=select, select_range=select_range)
 
 
 def resolvent_apply(
@@ -115,64 +104,82 @@ def resolvent_apply(
     grid: Grid,
     lam: float,
     source: np.ndarray,
-    resonance_rtol: float = RESONANCE_RTOL,
 ) -> np.ndarray:
     """Solve (A + lambda I) u = source in the collocation sense.
 
     `source` holds pointwise right-hand-side values; internally the
     symmetrized system (A_sym + lambda D) u = D source is solved, which is
     row-for-row equivalent. Raises ResonanceProximityError when lambda is
-    within resonance_rtol * max(1, |lambda|) of a discrete eigenvalue.
+    within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue. A
+    Sturm count around -lambda finds candidates; the full spectrum is
+    computed only then, to measure the distance.
     """
-    dw = grid.weights / grid.h
-    c = op.diag + lam * dw
-    if _min_pivot_ratio(c, op.off) < _PIVOT_TRIGGER:
-        mu = operator_eigenvalues(op, grid)
-        distance = float(np.min(np.abs(lam + mu)))
-        if distance < resonance_rtol * max(1.0, abs(lam)):
+    tol = RESONANCE_RTOL * max(1.0, abs(lam))
+    reach = tol + _STURM_SLACK * (np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off)))
+    if operator_eigenvalues(op, grid, "v", (-lam - reach, -lam + reach)).size:
+        distance = float(np.min(np.abs(lam + operator_eigenvalues(op, grid))))
+        if distance < tol:
             raise ResonanceProximityError(lam, distance)
+    dw = grid.weights / grid.h
     ab = np.zeros((3, grid.n))
     ab[0, 1:] = op.off
-    ab[1, :] = c
+    ab[1, :] = op.diag + lam * dw
     ab[2, :-1] = op.off
     return scipy.linalg.solve_banded((1, 1), ab, dw * source)
 
 
-def solve_forward(
-    p: Potential,
-    lam: float,
-    grid: Grid,
-    resonance_rtol: float = RESONANCE_RTOL,
-) -> Snapshot:
+def solve_forward(p: Potential, lam: float, grid: Grid) -> Snapshot:
     """Solve the forward problem with the boundary delta source at x = 0."""
-    op = assemble_operator(p, grid)
-    return solve_forward_operator(op, lam, grid, resonance_rtol)
+    return solve_forward_operator(assemble_operator(p, grid), lam, grid)
 
 
-def solve_forward_operator(
-    op: TridiagonalOperator,
-    lam: float,
-    grid: Grid,
-    resonance_rtol: float = RESONANCE_RTOL,
-) -> Snapshot:
+def solve_forward_operator(op: TridiagonalOperator, lam: float, grid: Grid) -> Snapshot:
     """Like solve_forward, reusing an already-assembled operator."""
     source = np.zeros(grid.n)
     source[0] = 2.0 / grid.h
-    values = resolvent_apply(op, grid, lam, source, resonance_rtol)
-    return Snapshot(lam=float(lam), values=values)
+    return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, source))
 
 
-def analytic_background_transfer(
-    lam: float,
-    L: float,
-    pole_rtol: float = RESONANCE_RTOL,
-) -> float:
+@dataclass(frozen=True, eq=False)
+class SnapshotMatrix:
+    """Columns are forward-problem solutions at the sample points."""
+
+    V: np.ndarray
+    grid: Grid
+    lambdas: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.lambdas.size
+
+
+def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
+    """Solve the forward problem at every sample point and stack the columns.
+
+    The one forward sweep per medium: data, background fields and reduced-
+    model bases all come from it. The sample points are sorted ascending;
+    duplicates or an empty list are rejected.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError("need a non-empty 1D list of sample points")
+    if np.unique(lams).size != lams.size:
+        raise ValueError("sample points must be pairwise distinct")
+    lams = np.sort(lams)
+    op = assemble_operator(p, grid)
+    V = np.empty((grid.n, lams.size))
+    for j, lam in enumerate(lams):
+        V[:, j] = solve_forward_operator(op, lam, grid).values
+    return SnapshotMatrix(V=V, grid=grid, lambdas=lams)
+
+
+def analytic_background_transfer(lam: float, L: float) -> float:
     """Closed-form transfer function of the zero-potential medium.
 
     Returns coth(sqrt(lam) L)/sqrt(lam) for lam > 0 and -cot(w L)/w with
     w = sqrt(-lam) for lam < 0. Poles sit at lam = -(k pi / L)^2 for
     integer k >= 0 (including lam = 0); evaluation within
-    pole_rtol * max(1, |lam|) of a pole raises PoleError.
+    RESONANCE_RTOL * max(1, |lam|) of a pole raises PoleError.
     """
     lam = float(lam)
     if not np.isfinite(lam):
@@ -182,7 +189,7 @@ def analytic_background_transfer(
         distance = abs(lam + (k * math.pi / L) ** 2)
     else:
         distance = abs(lam)
-    if distance < pole_rtol * max(1.0, abs(lam)):
+    if distance < RESONANCE_RTOL * max(1.0, abs(lam)):
         raise PoleError(lam, distance)
     if lam > 0.0:
         s = math.sqrt(lam)

@@ -8,21 +8,15 @@ Born linearization, data-driven estimate for the LSL method).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateSystemError, SampleAlignmentError
-from .forward import Snapshot, assemble_operator, solve_forward_operator
+from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import ZeroPotential
-from .rom import (
-    DEFAULT_TRUNCATION_TOL,
-    background_rom,
-    build_loewner,
-    lanczos,
-    lsl_internal,
-)
+from .rom import DEFAULT_TRUNCATION_TOL, build_loewner, lanczos, lsl_internal
 from .transfer import DataSet
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -51,36 +45,37 @@ class ReconstructionResult:
     rank: int
 
 
+def _check_alignment(data: DataSet, data0: DataSet, V0: SnapshotMatrix, grid: Grid) -> None:
+    lams = data.lambdas
+    if (data.L != data0.L or V0.grid != grid or not np.array_equal(lams, data0.lambdas)
+            or not np.array_equal(lams, V0.lambdas)):
+        raise SampleAlignmentError(
+            "true and background datasets and the background snapshots must share "
+            "L, the grid and identical sample points"
+        )
+
+
 def assemble_system(
     data: DataSet,
     data0: DataSet,
-    internal: Callable[[float], Snapshot],
-    grid: Grid,
+    V0: SnapshotMatrix,
+    W: np.ndarray,
     method: str = "lsl",
 ) -> ImagingSystem:
-    """Fill A and d from the two datasets and the internal-field provider.
+    """Fill A and d from the two datasets and the internal-field matrix.
 
-    Row j is grid.weights * u0(., l_j) * internal(l_j); the right-hand side
-    is d_j = F_0(l_j) - F(l_j). Background fields u0 are recomputed by
-    forward solves on the grid. Both datasets must be sampled at identical
-    points.
+    Row j is weights * u0(., l_j) * W[:, j], with u0 the column j of the
+    background snapshots V0 and W holding one internal field per sample
+    point; the right-hand side is d_j = F_0(l_j) - F(l_j). The system lives
+    on V0's grid, and all three inputs must share the sample points.
     """
-    if data.L != data0.L or not np.array_equal(data.lambdas, data0.lambdas):
-        raise SampleAlignmentError(
-            "true and background datasets must share L and identical sample points"
-        )
-    lams = data.lambdas
-    op0 = assemble_operator(ZeroPotential(), grid)
-    A = np.empty((lams.size, grid.n))
-    for j, lam in enumerate(lams):
-        u0 = solve_forward_operator(op0, lam, grid).values
-        w = internal(lam)
-        if w.values.shape != (grid.n,):
-            raise SampleAlignmentError(
-                f"internal-field provider returned {w.values.shape} values "
-                f"for a grid of {grid.n} nodes"
-            )
-        A[j, :] = grid.weights * u0 * w.values
+    grid = V0.grid
+    _check_alignment(data, data0, V0, grid)
+    if W.shape != V0.V.shape:
+        raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
+    A = np.empty((data.m, grid.n))
+    for j in range(data.m):
+        A[j, :] = grid.weights * V0.V[:, j] * W[:, j]
     d = data0.F - data.F
     return ImagingSystem(A=A, d=d, grid=grid, method=method)
 
@@ -120,32 +115,33 @@ def reconstruct(
     grid: Optional[Grid] = None,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
+    background: Optional[SnapshotMatrix] = None,
 ) -> ReconstructionResult:
     """End-to-end reconstruction from the two datasets.
 
     method "born" uses the background field itself as the internal-field
     stand-in; method "lsl" builds the data-driven reduced models of both
     media and estimates the true internal fields from the measured data.
-    Only boundary data of the unknown medium is ever used.
+    Only boundary data of the unknown medium is ever used. `background`, the
+    zero-potential snapshots on the grid at the sample points, is computed
+    when not given; callers that run both methods can pass one sweep to each.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if grid is None:
         grid = Grid(L=data.L, n=DEFAULT_GRID_NODES)
+    if background is None:
+        background = compute_snapshot_matrix(ZeroPotential(), data0.lambdas, grid)
+    _check_alignment(data, data0, background, grid)
     if method == "born":
-        op0 = assemble_operator(ZeroPotential(), grid)
-
-        def provider(lam: float) -> Snapshot:
-            return solve_forward_operator(op0, lam, grid)
-
+        W = background.V
     else:
-        V0, factors0 = background_rom(data0, grid, truncation_tol)
+        factors0 = lanczos(build_loewner(data0), truncation_tol)
         factors = lanczos(build_loewner(data), truncation_tol)
-
-        def provider(lam: float) -> Snapshot:
-            return lsl_internal(V0, factors0, factors, lam)
-
-    system = assemble_system(data, data0, provider, grid, method=method)
+        W = np.empty_like(background.V)
+        for j, lam in enumerate(data.lambdas):
+            W[:, j] = lsl_internal(background, factors0, factors, lam).values
+    system = assemble_system(data, data0, background, W, method=method)
     return solve_regularized(system, rel_threshold)
 
 

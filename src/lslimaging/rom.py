@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatchError,
     RomResonanceError,
 )
-from .forward import RESONANCE_RTOL, Snapshot, assemble_operator, solve_forward_operator
+from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, assemble_operator, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import Potential, ZeroPotential
 from .transfer import DataSet
@@ -65,29 +65,6 @@ class LanczosFactors:
     Q: np.ndarray
     normfactor: float
     k: int
-
-
-@dataclass(frozen=True, eq=False)
-class SnapshotMatrix:
-    """Columns are forward-problem solutions at the sample points."""
-
-    V: np.ndarray
-    grid: Grid
-    lambdas: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.lambdas.size
-
-
-def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
-    """Solve the forward problem at every sample point and stack the columns."""
-    lams = np.sort(np.asarray(lambdas, dtype=float))
-    op = assemble_operator(p, grid)
-    V = np.empty((grid.n, lams.size))
-    for j, lam in enumerate(lams):
-        V[:, j] = solve_forward_operator(op, lam, grid).values
-    return SnapshotMatrix(V=V, grid=grid, lambdas=lams)
 
 
 def build_loewner(data: DataSet) -> LoewnerPencil:
@@ -209,19 +186,16 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
 def _rom_solve(T: np.ndarray, lam: float) -> np.ndarray:
     """First column of (T + lam I)^{-1}, via a tridiagonal solve."""
     k = T.shape[0]
-    diag = np.diag(T) + lam
-    off = np.diag(T, 1) if k > 1 else np.empty(0)
-    theta = scipy.linalg.eigvalsh_tridiagonal(np.diag(T), off) if k > 1 else np.diag(T)
+    off = np.diag(T, 1)
+    theta = scipy.linalg.eigvalsh_tridiagonal(np.diag(T), off)
     distance = float(np.min(np.abs(lam + theta)))
     if distance < RESONANCE_RTOL * max(1.0, abs(lam)):
         raise RomResonanceError(lam, distance)
     e1 = np.zeros(k)
     e1[0] = 1.0
-    if k == 1:
-        return e1 / diag[0]
     ab = np.zeros((3, k))
     ab[0, 1:] = off
-    ab[1, :] = diag
+    ab[1, :] = np.diag(T) + lam
     ab[2, :-1] = off
     return scipy.linalg.solve_banded((1, 1), ab, e1)
 
@@ -231,14 +205,9 @@ def galerkin_internal(V: SnapshotMatrix, factors: LanczosFactors, lam: float) ->
 
     At the sample points this reproduces the snapshot columns (Galerkin
     interpolation); between them it is the projection-based approximation.
+    It is lsl_internal with the medium's own snapshots and factors.
     """
-    if V.m != factors.Q.shape[0]:
-        raise DimensionMismatchError(
-            f"snapshot matrix has {V.m} columns, factors expect {factors.Q.shape[0]}"
-        )
-    y = _rom_solve(factors.T, lam)
-    values = factors.normfactor * (V.V @ (factors.Q @ y))
-    return Snapshot(lam=float(lam), values=values)
+    return lsl_internal(V, factors, factors, lam)
 
 
 def lsl_internal(

@@ -12,8 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ResonanceProximityError
-from .forward import Snapshot, assemble_operator, solve_forward_operator
+from .forward import Snapshot, SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import Potential
 
@@ -88,6 +87,16 @@ def transfer_derivative(snapshot: Snapshot, grid: Grid) -> float:
     return float(-np.sum(grid.weights * u * u))
 
 
+def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
+    """The boundary data (F, dF) of one medium, read off its snapshot columns."""
+    snaps = [Snapshot(lam=float(lam), values=V.V[:, j]) for j, lam in enumerate(V.lambdas)]
+    samples = [
+        SpectralSample(s.lam, measure_transfer(s, V.grid), transfer_derivative(s, V.grid))
+        for s in snaps
+    ]
+    return DataSet(L=V.grid.L, samples=tuple(samples), label=label)
+
+
 def generate_dataset(
     p: Potential,
     lambdas: Sequence[float],
@@ -97,30 +106,10 @@ def generate_dataset(
     """Measure (F, dF) at each sample point by forward solves on the grid.
 
     The sample points are sorted ascending; duplicates or an empty list are
-    rejected. A resonance-proximity failure is re-raised with the offending
-    sample point identified.
+    rejected (see compute_snapshot_matrix).
     """
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("need a non-empty 1D list of sample points")
-    if np.unique(lams).size != lams.size:
-        raise ValueError("sample points must be pairwise distinct")
-    lams = np.sort(lams)
-    op = assemble_operator(p, grid)
-    samples = []
-    for lam in lams:
-        try:
-            snap = solve_forward_operator(op, lam, grid)
-        except ResonanceProximityError as exc:
-            raise ResonanceProximityError(lam, exc.distance) from exc
-        samples.append(
-            SpectralSample(
-                lam=float(lam),
-                F=measure_transfer(snap, grid),
-                dF=transfer_derivative(snap, grid),
-            )
-        )
-    return DataSet(L=grid.L, samples=tuple(samples), label=p.label if label is None else label)
+    V = compute_snapshot_matrix(p, lambdas, grid)
+    return measure_dataset(V, p.label if label is None else label)
 
 
 def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:

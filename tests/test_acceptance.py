@@ -188,12 +188,9 @@ def test_criterion_06_oracle_imaging_exactness():
     regularized solve recover the smooth potential to 1e-2."""
     start = time.perf_counter()
     data, data0 = dataset_pair(GAUSSIAN, 4)
-    op = assemble_operator(GAUSSIAN, GRID)
-
-    def provider(lam):
-        return solve_forward_operator(op, lam, GRID)
-
-    system = assemble_system(data, data0, provider, GRID, method="oracle")
+    V0 = compute_snapshot_matrix(ZeroPotential(), data.lambdas, GRID)
+    W = compute_snapshot_matrix(GAUSSIAN, data.lambdas, GRID).V
+    system = assemble_system(data, data0, V0, W, method="oracle")
     result = solve_regularized(system, rel_threshold=1e-8)
     err = relative_l2_error(result.p_est, GAUSSIAN.evaluate(GRID), GRID)
     elapsed = time.perf_counter() - start

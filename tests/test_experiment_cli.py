@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import lslimaging.forward
 from lslimaging import (
     ExperimentError,
     GaussianPotential,
@@ -131,6 +132,20 @@ class TestRunExperiment:
         paths_b = run_experiment(config_b)
         for name in paths_a:
             assert paths_a[name].read_bytes() == paths_b[name].read_bytes(), name
+
+    def test_one_forward_sweep_per_medium(self, tmp_path, monkeypatch):
+        # m solves per medium for the data, plus the two internal-solution fields
+        solves = []
+        resolvent_apply = lslimaging.forward.resolvent_apply
+
+        def counting(*args, **kwargs):
+            solves.append(args[2])
+            return resolvent_apply(*args, **kwargs)
+
+        monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting)
+        run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
+        m = FAST["N"] * FAST["f"]
+        assert len(solves) == 2 * m + 2
 
     def test_stage_failure_is_named(self, tmp_path):
         grid = Grid(1.0, FAST["n"])

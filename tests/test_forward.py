@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from lslimaging import (
+    GaussianPotential,
     Grid,
     PoleError,
     ResonanceProximityError,
@@ -149,6 +150,16 @@ class TestSolveForward:
         op = assemble_operator(ZeroPotential(), g)
         mu1 = operator_eigenvalues(op, g)[1]
         snap = solve_forward(ZeroPotential(), -mu1 + 1e-6, g)
+        assert np.all(np.isfinite(snap.values))
+
+    def test_exact_guard_at_interior_eigenvalue_of_gaussian(self):
+        g = Grid(L=1.0, n=2001)
+        p = GaussianPotential(5.0, 0.5, 0.1)
+        mu7 = operator_eigenvalues(assemble_operator(p, g), g)[7]
+        with pytest.raises(ResonanceProximityError) as excinfo:
+            solve_forward(p, -mu7, g)
+        assert excinfo.value.distance < 1e-10 * mu7
+        snap = solve_forward(p, -mu7 + 1e-6, g)
         assert np.all(np.isfinite(snap.values))
 
 

@@ -9,13 +9,12 @@ from lslimaging import (
     ImagingSystem,
     SampleAlignmentError,
     ZeroPotential,
-    assemble_operator,
     assemble_system,
+    compute_snapshot_matrix,
     generate_dataset,
     reconstruct,
     relative_l2_error,
     solve_forward,
-    solve_forward_operator,
     solve_regularized,
     weyl_sample,
 )
@@ -46,39 +45,39 @@ def background_data(g, lambdas):
     return generate_dataset(ZeroPotential(), lambdas, g)
 
 
-def background_provider(g):
-    op0 = assemble_operator(ZeroPotential(), g)
-    return lambda lam: solve_forward_operator(op0, lam, g)
+@pytest.fixture(scope="module")
+def V0(g, lambdas):
+    return compute_snapshot_matrix(ZeroPotential(), lambdas, g)
 
 
 class TestAssembleSystem:
-    def test_zero_contrast_right_hand_side_vanishes(self, g, background_data):
+    def test_zero_contrast_right_hand_side_vanishes(self, background_data, V0):
         system = assemble_system(background_data, background_data,
-                                 background_provider(g), g, method="born")
+                                 V0, V0.V, method="born")
         assert np.all(system.d == 0.0)
 
-    def test_born_rows_are_weighted_squared_background(self, g, gaussian_data, background_data):
+    def test_born_rows_are_weighted_squared_background(self, g, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 background_provider(g), g, method="born")
+                                 V0, V0.V, method="born")
         for j in (0, 7):
             u0 = solve_forward(ZeroPotential(), gaussian_data.lambdas[j], g).values
             assert np.allclose(system.A[j], g.weights * u0 * u0, rtol=1e-13, atol=0)
 
-    def test_right_hand_side_is_transfer_difference(self, gaussian_data, background_data, g):
+    def test_right_hand_side_is_transfer_difference(self, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 background_provider(g), g)
+                                 V0, V0.V)
         assert np.array_equal(system.d, background_data.F - gaussian_data.F)
 
-    def test_mismatched_samples_rejected(self, g, gaussian, gaussian_data, lambdas):
+    def test_mismatched_samples_rejected(self, g, gaussian, gaussian_data, lambdas, V0):
         other = generate_dataset(ZeroPotential(), lambdas[:-1], g)
         with pytest.raises(SampleAlignmentError):
-            assemble_system(gaussian_data, other, background_provider(g), g)
+            assemble_system(gaussian_data, other, V0, V0.V)
 
-    def test_wrong_provider_shape_rejected(self, g, gaussian_data, background_data):
+    def test_wrong_provider_shape_rejected(self, gaussian_data, background_data, lambdas, V0):
         small = Grid(1.0, 11)
-        bad = background_provider(small)
+        bad = compute_snapshot_matrix(ZeroPotential(), lambdas, small).V
         with pytest.raises(SampleAlignmentError):
-            assemble_system(gaussian_data, background_data, bad, g)
+            assemble_system(gaussian_data, background_data, V0, bad)
 
 
 class TestSolveRegularized:
@@ -124,9 +123,9 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             solve_regularized(system, rel_threshold=1.0)
 
-    def test_result_records_match_recomputation(self, g, gaussian_data, background_data):
+    def test_result_records_match_recomputation(self, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 background_provider(g), g, method="born")
+                                 V0, V0.V, method="born")
         result = solve_regularized(system, rel_threshold=1e-6)
         assert result.residual_norm == pytest.approx(
             float(np.linalg.norm(system.A @ result.p_est - system.d)), rel=1e-12, abs=1e-15
@@ -135,9 +134,9 @@ class TestSolveRegularized:
         assert np.all(np.diff(result.singular_values) <= 0)
         assert result.regularization == 1e-6
 
-    def test_residual_nonincreasing_as_threshold_decreases(self, g, gaussian_data, background_data):
+    def test_residual_nonincreasing_as_threshold_decreases(self, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 background_provider(g), g, method="born")
+                                 V0, V0.V, method="born")
         residuals = [
             solve_regularized(system, rel_threshold=thr).residual_norm
             for thr in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
@@ -151,11 +150,11 @@ class TestReconstruct:
             result = reconstruct(background_data, background_data, method, grid=g)
             assert np.max(np.abs(result.p_est)) < 1e-6
 
-    def test_oracle_provider_recovers_the_potential(self, g, gaussian, gaussian_data, background_data):
+    def test_oracle_provider_recovers_the_potential(self, g, gaussian, gaussian_data, background_data,
+                                                    lambdas, V0):
         # true internal fields make the equations exactly linear in p
-        op = assemble_operator(gaussian, g)
-        provider = lambda lam: solve_forward_operator(op, lam, g)
-        system = assemble_system(gaussian_data, background_data, provider, g, method="oracle")
+        W = compute_snapshot_matrix(gaussian, lambdas, g).V
+        system = assemble_system(gaussian_data, background_data, V0, W, method="oracle")
         result = solve_regularized(system, rel_threshold=1e-8)
         p_true = gaussian.evaluate(g)
         assert relative_l2_error(result.p_est, p_true, g) < 1e-2
@@ -183,6 +182,21 @@ class TestReconstruct:
         other = generate_dataset(gaussian, lambdas[1:], g)
         with pytest.raises(SampleAlignmentError):
             reconstruct(other, background_data, "born", grid=g)
+
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_precomputed_background_is_bitwise_equal(self, g, gaussian_data, background_data, V0, method):
+        plain = reconstruct(gaussian_data, background_data, method, grid=g)
+        reused = reconstruct(gaussian_data, background_data, method, grid=g, background=V0)
+        assert np.array_equal(reused.p_est, plain.p_est)
+
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_background_on_other_grid_or_samples_rejected(self, g, gaussian_data, background_data,
+                                                          lambdas, method):
+        other_grid = compute_snapshot_matrix(ZeroPotential(), lambdas, Grid(1.0, 1001))
+        other_samples = compute_snapshot_matrix(ZeroPotential(), lambdas - 0.5, g)
+        for background in (other_grid, other_samples):
+            with pytest.raises(SampleAlignmentError):
+                reconstruct(gaussian_data, background_data, method, grid=g, background=background)
 
 
 class TestRelativeL2Error:

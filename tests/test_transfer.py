@@ -9,13 +9,16 @@ from lslimaging import (
     DataSet,
     GaussianPotential,
     Grid,
+    ResonanceProximityError,
     Snapshot,
     SpectralSample,
     ZeroPotential,
     analytic_background_transfer,
+    assemble_operator,
     generate_dataset,
     load_dataset,
     measure_transfer,
+    operator_eigenvalues,
     save_dataset,
     solve_forward,
     transfer_derivative,
@@ -111,6 +114,12 @@ class TestGenerateDataset:
         assert data.label == "zero"
         data = generate_dataset(ZeroPotential(), [-5.0], g, label="run-1")
         assert data.label == "run-1"
+
+    def test_sample_on_resonance_is_named(self, g):
+        on_resonance = -operator_eigenvalues(assemble_operator(ZeroPotential(), g), g)[2]
+        with pytest.raises(ResonanceProximityError) as excinfo:
+            generate_dataset(ZeroPotential(), [-60.0, on_resonance, -1.0], g)
+        assert excinfo.value.lam == on_resonance
 
 
 class TestValidation:
