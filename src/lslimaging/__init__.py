@@ -63,6 +63,7 @@ from .rom import (
     galerkin_internal,
     gram_oracle,
     lanczos,
+    lsl_fields,
     lsl_internal,
 )
 from .imaging import (

@@ -1,7 +1,6 @@
 """Experiment orchestration: configuration, presets, and file outputs."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -20,11 +19,9 @@ from .imaging import (
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, build_loewner, lanczos, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, lsl_internal
 from .sampling import weyl_sample
-from .transfer import generate_dataset, measure_dataset, save_dataset
-
-_FMT = "{:.17g}"
+from .transfer import _FMT, _write_rows, generate_dataset, measure_dataset, save_dataset
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -171,12 +168,13 @@ def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:
 # -- output writers ---------------------------------------------------------
 
 def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Whitespace-separated table: one header line, 17-significant-digit rows."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    lines = [" ".join(names)]
-    for row in zip(*cols):
-        lines.append(" ".join(_FMT.format(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Whitespace-separated table: one header line, 17-significant-digit rows.
+
+    Raises ValueError unless there is one equal-length column per name.
+    """
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
+    _write_rows(path, " ".join(names), columns)
 
 
 def default_internal_lambda(lambdas: np.ndarray) -> float:
@@ -226,12 +224,9 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
                     if config.internal_lambda is None else config.internal_lambda)
         u_true = solve_forward(config.potential, lam_star, grid).values
         u_bg = solve_forward(ZeroPotential(), lam_star, grid).values
-        if "lsl" in config.methods:
-            factors0 = lanczos(build_loewner(data0), config.truncation_tol)
-            factors = lanczos(build_loewner(data), config.truncation_tol)
-            u_lsl = lsl_internal(V0, factors0, factors, lam_star).values
-        else:
-            u_lsl = np.full(grid.n, np.nan)
+        nan_col = np.full(grid.n, np.nan)
+        u_lsl = (lsl_internal(V0, *results["lsl"].factors, lam_star).values
+                 if "lsl" in results else nan_col)
 
         stage = "write-outputs"
         outdir = config.outdir
@@ -240,7 +235,6 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
 
-        nan_col = np.full(grid.n, np.nan)
         write_table(
             paths["reconstruction"],
             ("x", "p_true", "p_born", "p_lsl"),
@@ -256,33 +250,31 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
 
         lines = [
             f"label = {config.label}",
-            "L = " + _FMT.format(config.L),
+            "L = " + _FMT % config.L,
             f"n = {config.n}",
             f"N = {config.N}",
             f"f = {config.f}",
             f"m = {plan.m}",
             f"methods = {','.join(config.methods)}",
-            "rel_threshold = " + _FMT.format(config.rel_threshold),
-            "truncation_tol = " + _FMT.format(config.truncation_tol),
-            "internal_lambda = " + _FMT.format(lam_star),
-            "err_internal_background = " + _FMT.format(relative_l2_error(u_bg, u_true, grid)),
-            "err_internal_lsl = " + _FMT.format(
-                relative_l2_error(u_lsl, u_true, grid) if "lsl" in config.methods else math.nan
-            ),
+            "rel_threshold = " + _FMT % config.rel_threshold,
+            "truncation_tol = " + _FMT % config.truncation_tol,
+            "internal_lambda = " + _FMT % lam_star,
+            "err_internal_background = " + _FMT % relative_l2_error(u_bg, u_true, grid),
+            "err_internal_lsl = " + _FMT % relative_l2_error(u_lsl, u_true, grid),
         ]
         for method in METHODS:
             if method in results:
                 res = results[method]
                 err = relative_l2_error(res.p_est, p_true, grid)
-                lines.append(f"err_{method} = " + _FMT.format(err))
-                lines.append(f"residual_{method} = " + _FMT.format(res.residual_norm))
+                lines.append(f"err_{method} = " + _FMT % err)
+                lines.append(f"residual_{method} = " + _FMT % res.residual_norm)
                 lines.append(f"rank_{method} = {res.rank}")
             else:
                 lines.append(f"err_{method} = nan")
                 lines.append(f"residual_{method} = nan")
                 lines.append(f"rank_{method} = 0")
         for method in METHODS:
-            values = (" ".join(_FMT.format(v) for v in results[method].singular_values)
+            values = (" ".join(_FMT % v for v in results[method].singular_values)
                       if method in results else "")
             lines.append(f"singular_values_{method} = {values}")
         paths["summary"].write_text("\n".join(lines) + "\n")

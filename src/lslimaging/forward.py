@@ -158,11 +158,13 @@ def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix
 
     The one forward sweep per medium: data, background fields and reduced-
     model bases all come from it. The sample points are sorted ascending;
-    duplicates or an empty list are rejected.
+    duplicates, non-finite points or an empty list are rejected.
     """
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("need a non-empty 1D list of sample points")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"sample points must be finite, got {lams[~np.isfinite(lams)].tolist()}")
     if np.unique(lams).size != lams.size:
         raise ValueError("sample points must be pairwise distinct")
     lams = np.sort(lams)

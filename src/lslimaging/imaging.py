@@ -7,8 +7,8 @@ Born linearization, data-driven estimate for the LSL method).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, build_loewner, lanczos, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, build_loewner, lanczos, lsl_fields
 from .transfer import DataSet
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -43,12 +43,14 @@ class ReconstructionResult:
     residual_norm: float
     singular_values: np.ndarray
     rank: int
+    #: (factors0, factors), the Lanczos factors of data0 and data, for "lsl"; None for "born"
+    factors: Optional[Tuple[LanczosFactors, LanczosFactors]] = None
 
 
 def _check_alignment(data: DataSet, data0: DataSet, V0: SnapshotMatrix, grid: Grid) -> None:
     lams = data.lambdas
-    if (data.L != data0.L or V0.grid != grid or not np.array_equal(lams, data0.lambdas)
-            or not np.array_equal(lams, V0.lambdas)):
+    if (data.L != data0.L or grid.L != data.L or V0.grid != grid
+            or not np.array_equal(lams, data0.lambdas) or not np.array_equal(lams, V0.lambdas)):
         raise SampleAlignmentError(
             "true and background datasets and the background snapshots must share "
             "L, the grid and identical sample points"
@@ -73,9 +75,7 @@ def assemble_system(
     _check_alignment(data, data0, V0, grid)
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
-    A = np.empty((data.m, grid.n))
-    for j in range(data.m):
-        A[j, :] = grid.weights * V0.V[:, j] * W[:, j]
+    A = (grid.weights[:, None] * V0.V * W).T
     d = data0.F - data.F
     return ImagingSystem(A=A, d=d, grid=grid, method=method)
 
@@ -91,12 +91,13 @@ def solve_regularized(
     """
     if not (0.0 < rel_threshold < 1.0):
         raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
-    U, s, Vt = np.linalg.svd(system.A, full_matrices=False)
+    # the SVD of the tall A^T = V diag(s) U^T takes LAPACK's faster QR path
+    V, s, Ut = np.linalg.svd(system.A.T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateSystemError("imaging system matrix is identically zero")
     keep = s >= rel_threshold * s[0]
-    coeffs = (U[:, keep].T @ system.d) / s[keep]
-    p_est = Vt[keep].T @ coeffs
+    coeffs = (Ut[keep] @ system.d) / s[keep]
+    p_est = V[:, keep] @ coeffs
     residual = float(np.linalg.norm(system.A @ p_est - system.d))
     return ReconstructionResult(
         p_est=p_est,
@@ -134,15 +135,13 @@ def reconstruct(
         background = compute_snapshot_matrix(ZeroPotential(), data0.lambdas, grid)
     _check_alignment(data, data0, background, grid)
     if method == "born":
-        W = background.V
+        W, factors = background.V, None
     else:
-        factors0 = lanczos(build_loewner(data0), truncation_tol)
-        factors = lanczos(build_loewner(data), truncation_tol)
-        W = np.empty_like(background.V)
-        for j, lam in enumerate(data.lambdas):
-            W[:, j] = lsl_internal(background, factors0, factors, lam).values
+        factors = (lanczos(build_loewner(data0), truncation_tol),
+                   lanczos(build_loewner(data), truncation_tol))
+        W = lsl_fields(background, *factors, data.lambdas)
     system = assemble_system(data, data0, background, W, method=method)
-    return solve_regularized(system, rel_threshold)
+    return replace(solve_regularized(system, rel_threshold), factors=factors)
 
 
 def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> float:

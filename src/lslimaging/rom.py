@@ -10,7 +10,7 @@ when estimating internal fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -75,19 +75,17 @@ def build_loewner(data: DataSet) -> LoewnerPencil:
     diagonals:      S_ii = F_i + l_i dF_i  (the derivative of lambda*F),
                     M_ii = -dF_i;
     source:         b_i = F_i.
-    Each (i, j) pair is assigned once, so both matrices are exactly symmetric.
+    Entry (j, i) negates numerator and denominator of entry (i, j), which is
+    exact in floating point, so both matrices are exactly symmetric.
     """
     lams, F, dF = data.lambdas, data.F, data.dF
-    m = data.m
-    S = np.empty((m, m))
-    M = np.empty((m, m))
-    for i in range(m):
-        S[i, i] = F[i] + lams[i] * dF[i]
-        M[i, i] = -dF[i]
-        for j in range(i + 1, m):
-            gap = lams[i] - lams[j]
-            M[i, j] = M[j, i] = (F[j] - F[i]) / gap
-            S[i, j] = S[j, i] = (lams[i] * F[i] - lams[j] * F[j]) / gap
+    gap = lams[:, None] - lams[None, :]
+    np.fill_diagonal(gap, 1.0)
+    lF = lams * F
+    M = (F[None, :] - F[:, None]) / gap
+    S = (lF[:, None] - lF[None, :]) / gap
+    np.fill_diagonal(S, F + lams * dF)
+    np.fill_diagonal(M, -dF)
     return LoewnerPencil(S=S, M=M, b=F.copy(), lambdas=lams.copy())
 
 
@@ -183,23 +181,6 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     return LanczosFactors(T=T, Q=Q, normfactor=normfactor, k=k)
 
 
-def _rom_solve(T: np.ndarray, lam: float) -> np.ndarray:
-    """First column of (T + lam I)^{-1}, via a tridiagonal solve."""
-    k = T.shape[0]
-    off = np.diag(T, 1)
-    theta = scipy.linalg.eigvalsh_tridiagonal(np.diag(T), off)
-    distance = float(np.min(np.abs(lam + theta)))
-    if distance < RESONANCE_RTOL * max(1.0, abs(lam)):
-        raise RomResonanceError(lam, distance)
-    e1 = np.zeros(k)
-    e1[0] = 1.0
-    ab = np.zeros((3, k))
-    ab[0, 1:] = off
-    ab[1, :] = np.diag(T) + lam
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, e1)
-
-
 def galerkin_internal(V: SnapshotMatrix, factors: LanczosFactors, lam: float) -> Snapshot:
     """Reduced-model internal field normfactor * V Q (T + lam I)^{-1} e_1.
 
@@ -210,19 +191,21 @@ def galerkin_internal(V: SnapshotMatrix, factors: LanczosFactors, lam: float) ->
     return lsl_internal(V, factors, factors, lam)
 
 
-def lsl_internal(
+def lsl_fields(
     V0: SnapshotMatrix,
     factors0: LanczosFactors,
     factors: LanczosFactors,
-    lam: float,
-) -> Snapshot:
-    """Internal-field estimate from boundary data of the unknown medium.
+    lams: Sequence[float],
+) -> np.ndarray:
+    """Internal-field estimates from boundary data of the unknown medium, one column per lam.
 
     Replaces the inaccessible product V Q by the background V0 Q0 while
     keeping the measured medium's T and normfactor:
-    normfactor * V0 Q0 (T + lam I)^{-1} e_1, truncated to the common rank.
+    normfactor * V0 Q0 (T + lam I)^{-1} e_1, truncated to the common rank k.
     Both factorizations must come from the same sample points and carry the
-    canonical sign convention, otherwise columns pair up wrongly.
+    canonical sign convention, otherwise columns pair up wrongly. One
+    eigendecomposition T = S diag(theta) S^T serves every lam; the first lam
+    within RESONANCE_RTOL * max(1, |lam|) of some -theta raises RomResonanceError.
     """
     if V0.m != factors0.Q.shape[0] or factors.Q.shape[0] != factors0.Q.shape[0]:
         raise DimensionMismatchError(
@@ -232,9 +215,26 @@ def lsl_internal(
     k = min(factors.k, factors0.k)
     if k < 1:
         raise DimensionMismatchError("no common retained rank")
-    y = _rom_solve(factors.T[:k, :k], lam)
-    values = factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ y))
-    return Snapshot(lam=float(lam), values=values)
+    lams = np.asarray(lams, dtype=float)
+    T = factors.T[:k, :k]
+    theta, S = scipy.linalg.eigh_tridiagonal(np.diag(T), np.diag(T, 1))
+    shifted = theta[:, None] + lams
+    distance = np.min(np.abs(shifted), axis=0)
+    near = np.flatnonzero(distance < RESONANCE_RTOL * np.maximum(1.0, np.abs(lams)))
+    if near.size:
+        raise RomResonanceError(float(lams[near[0]]), float(distance[near[0]]))
+    Y = S @ (S[0][:, None] / shifted)
+    return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ Y))
+
+
+def lsl_internal(
+    V0: SnapshotMatrix,
+    factors0: LanczosFactors,
+    factors: LanczosFactors,
+    lam: float,
+) -> Snapshot:
+    """The internal-field estimate of lsl_fields at the single point lam."""
+    return Snapshot(lam=float(lam), values=lsl_fields(V0, factors0, factors, [lam])[:, 0])
 
 
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):

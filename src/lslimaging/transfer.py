@@ -17,7 +17,7 @@ from .grid import Grid
 from .potentials import Potential
 
 # Shortest decimal that round-trips a double exactly.
-_FMT = "{:.17g}"
+_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,17 @@ def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:
     All numbers use 17 significant digits, so a load/save round trip
     reproduces the file byte-for-byte.
     """
-    lines = [
-        "# L=" + _FMT.format(dataset.L) + f" m={dataset.m} label={dataset.label}"
-    ]
-    for s in dataset.samples:
-        lines.append(" ".join(_FMT.format(v) for v in (s.lam, s.F, s.dF)))
+    header = "# L=" + _FMT % dataset.L + f" m={dataset.m} label={dataset.label}"
+    _write_rows(path, header, (dataset.lambdas, dataset.F, dataset.dF))
+
+
+def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the header line, then row i of the equal-length columns per line, in _FMT."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ValueError(f"columns must be 1D and of equal length, got shapes {[c.shape for c in cols]}")
+    row = " ".join([_FMT] * len(cols))
+    lines = [header] + [row % tuple(r) for r in np.column_stack(cols).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,8 +1,11 @@
 """Experiment orchestration, configuration files, and the command line."""
+import sys
+
 import numpy as np
 import pytest
 
 import lslimaging.forward
+import lslimaging.rom
 from lslimaging import (
     ExperimentError,
     GaussianPotential,
@@ -86,6 +89,27 @@ class TestWriteTable:
         assert parsed[0] == 0.0 and parsed[1] == np.pi and parsed[2] == 1.0 / 3.0
         assert np.isnan(float(lines[2].split()[1]))
 
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        # reference: each value formatted on its own, as the writer did before
+        path = tmp_path / "table.txt"
+        cols = (np.array([0.0, -0.0, 1e-310, 1.0 / 3.0]),
+                np.array([np.nan, np.inf, -np.inf, 123456789012345678.0]),
+                np.array([-2.5e300, 7, 1e-5, -np.pi]))
+        write_table(path, ("a", "b", "c"), cols)
+        rows = [" ".join("{:.17g}".format(v) for v in row) for row in zip(*cols)]
+        assert path.read_text() == "\n".join(["a b c"] + rows) + "\n"
+
+    @pytest.mark.parametrize("names, columns", [
+        (("x", "y"), (np.zeros(3), np.zeros(2))),
+        (("x",), (np.zeros(3), np.zeros(3))),
+        (("x", "y", "z"), (np.zeros(3), np.zeros(3))),
+    ])
+    def test_ragged_or_misnamed_columns_rejected(self, tmp_path, names, columns):
+        path = tmp_path / "table.txt"
+        with pytest.raises(ValueError):
+            write_table(path, names, columns)
+        assert not path.exists()
+
 
 class TestRunExperiment:
     def test_zero_preset_outputs(self, tmp_path):
@@ -146,6 +170,20 @@ class TestRunExperiment:
         run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
         m = FAST["N"] * FAST["f"]
         assert len(solves) == 2 * m + 2
+
+    def test_lanczos_once_per_medium(self, tmp_path, monkeypatch):
+        calls = []
+        lanczos = lslimaging.rom.lanczos
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lanczos(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lslimaging.") and getattr(module, "lanczos", None) is lanczos:
+                monkeypatch.setattr(module, "lanczos", counting)
+        run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
+        assert len(calls) == 2
 
     def test_stage_failure_is_named(self, tmp_path):
         grid = Grid(1.0, FAST["n"])

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from lslimaging import (
+    DEFAULT_REL_THRESHOLD,
     DegenerateSystemError,
     GaussianPotential,
     Grid,
@@ -55,6 +56,14 @@ class TestAssembleSystem:
         system = assemble_system(background_data, background_data,
                                  V0, V0.V, method="born")
         assert np.all(system.d == 0.0)
+
+    def test_rows_match_the_per_sample_loop(self, g, gaussian, gaussian_data, background_data, V0):
+        W = compute_snapshot_matrix(gaussian, gaussian_data.lambdas, g).V
+        system = assemble_system(gaussian_data, background_data, V0, W)
+        A = np.empty((gaussian_data.m, g.n))
+        for j in range(gaussian_data.m):
+            A[j, :] = g.weights * V0.V[:, j] * W[:, j]
+        assert np.array_equal(system.A, A)
 
     def test_born_rows_are_weighted_squared_background(self, g, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
@@ -109,6 +118,19 @@ class TestSolveRegularized:
         expected = (u @ d / sigma) * v
         assert np.allclose(result.p_est, expected, rtol=1e-12)
         assert result.rank == 1
+
+    def test_matches_svd_of_the_wide_matrix(self):
+        # reference: the SVD of A itself, as the solve computed it before
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((30, 200))
+        d = rng.standard_normal(30)
+        result = solve_regularized(ImagingSystem(A=A, d=d, grid=Grid(1.0, 200), method="born"))
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        keep = s >= DEFAULT_REL_THRESHOLD * s[0]
+        p_ref = Vt[keep].T @ ((U[:, keep].T @ d) / s[keep])
+        assert result.rank == np.count_nonzero(keep) == 30
+        np.testing.assert_allclose(result.singular_values, s, rtol=1e-10)
+        assert np.linalg.norm(result.p_est - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
     def test_all_zero_matrix_rejected(self):
         g = Grid(1.0, 4)
@@ -188,6 +210,11 @@ class TestReconstruct:
         plain = reconstruct(gaussian_data, background_data, method, grid=g)
         reused = reconstruct(gaussian_data, background_data, method, grid=g, background=V0)
         assert np.array_equal(reused.p_est, plain.p_est)
+
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_grid_of_other_length_rejected(self, gaussian_data, background_data, method):
+        with pytest.raises(SampleAlignmentError):
+            reconstruct(gaussian_data, background_data, method, grid=Grid(2.0, 101))
 
     @pytest.mark.parametrize("method", ["born", "lsl"])
     def test_background_on_other_grid_or_samples_rejected(self, g, gaussian_data, background_data,

@@ -22,6 +22,7 @@ from lslimaging import (
     generate_dataset,
     gram_oracle,
     lanczos,
+    lsl_fields,
     lsl_internal,
     solve_forward,
     weyl_sample,
@@ -82,6 +83,24 @@ class TestBuildLoewner:
         F0 = [analytic_background_transfer(lam, 1.0) for lam in lams]
         expected = (F0[1] - F0[0]) / (lams[0] - lams[1])
         assert pencil.M[0, 1] == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("N", [10, 40])
+    def test_matches_the_double_loop(self, g, gaussian, N):
+        # the per-entry loop the broadcast fill replaced, at m = 40 and m = 160
+        data = generate_dataset(gaussian, weyl_sample(N, 4, 1.0).lambdas, g)
+        lams, F, dF = data.lambdas, data.F, data.dF
+        S = np.empty((data.m, data.m))
+        M = np.empty((data.m, data.m))
+        for i in range(data.m):
+            S[i, i] = F[i] + lams[i] * dF[i]
+            M[i, i] = -dF[i]
+            for j in range(i + 1, data.m):
+                gap = lams[i] - lams[j]
+                M[i, j] = M[j, i] = (F[j] - F[i]) / gap
+                S[i, j] = S[j, i] = (lams[i] * F[i] - lams[j] * F[j]) / gap
+        pencil = build_loewner(data)
+        assert np.array_equal(pencil.S, S)
+        assert np.array_equal(pencil.M, M)
 
     def test_mass_matrix_positive_definite_for_real_data(self, gaussian_data):
         eigvals = np.linalg.eigvalsh(build_loewner(gaussian_data).M)
@@ -302,3 +321,42 @@ class TestLslInternal:
         factors = lanczos(build_loewner(short))
         with pytest.raises(DimensionMismatchError):
             lsl_internal(V0, factors0, factors, -5.0)
+
+
+class TestLslFields:
+    @staticmethod
+    def per_lambda_field(V0, factors0, factors, lam):
+        """Reference: one tridiagonal solve (T + lam I) y = e_1 per sample point."""
+        k = min(factors.k, factors0.k)
+        T = factors.T[:k, :k]
+        ab = np.zeros((3, k))
+        ab[0, 1:] = np.diag(T, 1)
+        ab[1, :] = np.diag(T) + lam
+        ab[2, :-1] = np.diag(T, 1)
+        e1 = np.zeros(k)
+        e1[0] = 1.0
+        y = scipy.linalg.solve_banded((1, 1), ab, e1)
+        return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ y))
+
+    @pytest.mark.parametrize("truncation_tol", [1e-14, 1e-6])  # k = k0 and k < k0
+    def test_columns_match_per_lambda_solves(self, g, gaussian_data, background_data, truncation_tol):
+        V0, factors0 = background_rom(background_data, g)
+        factors = lanczos(build_loewner(gaussian_data), truncation_tol)
+        lams = gaussian_data.lambdas
+        probes = np.concatenate([lams, 0.5 * (lams[1:] + lams[:-1]), [-30.0, 7.5]])
+        W = lsl_fields(V0, factors0, factors, probes)
+        assert W.shape == (g.n, probes.size)
+        for j, lam in enumerate(probes):
+            ref = self.per_lambda_field(V0, factors0, factors, lam)
+            assert np.linalg.norm(W[:, j] - ref) <= 1e-10 * np.linalg.norm(ref)
+            single = lsl_internal(V0, factors0, factors, lam).values
+            assert np.linalg.norm(single - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_resonance_error_names_first_offending_lambda(self, g, gaussian_data, background_data):
+        V0, factors0 = background_rom(background_data, g)
+        factors = lanczos(build_loewner(gaussian_data))
+        theta = np.linalg.eigvalsh(factors.T[:factors0.k, :factors0.k])
+        lams = [-30.0, -theta[4], -theta[1]]
+        with pytest.raises(RomResonanceError) as excinfo:
+            lsl_fields(V0, factors0, factors, lams)
+        assert excinfo.value.lam == -theta[4]

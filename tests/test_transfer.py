@@ -15,6 +15,7 @@ from lslimaging import (
     ZeroPotential,
     analytic_background_transfer,
     assemble_operator,
+    compute_snapshot_matrix,
     generate_dataset,
     load_dataset,
     measure_transfer,
@@ -108,6 +109,11 @@ class TestGenerateDataset:
     def test_duplicates_rejected(self, g):
         with pytest.raises(ValueError):
             generate_dataset(ZeroPotential(), [-5.0, -5.0, -1.0], g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_points_rejected(self, g, bad):
+        with pytest.raises(ValueError, match=f"finite, got \\[{bad}\\]"):
+            compute_snapshot_matrix(ZeroPotential(), [bad, -5.0], g)
 
     def test_label_defaults_to_potential_label(self, g):
         data = generate_dataset(ZeroPotential(), [-5.0], g)
