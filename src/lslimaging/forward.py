@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import PoleError, ResonanceProximityError
 from .grid import Grid
@@ -27,6 +29,10 @@ RESONANCE_RTOL = 1e-10
 # at n = 2001), more than RESONANCE_RTOL for the low modes of fine grids, so
 # the count looks this much further and the full spectrum decides.
 _STURM_SLACK = 32.0 * np.finfo(float).eps
+
+# The routines scipy's eigvalsh_tridiagonal(select="v") and
+# solve_banded((1, 1), ...) dispatch to, called without their per-call wrappers.
+_STEBZ, _GTSV = get_lapack_funcs(("stebz", "gtsv"), dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +72,24 @@ class TridiagonalOperator:
             + np.diag(self.off, -1)
         )
 
+    @cached_property
+    def _pencil(self):
+        """(dw, bd, be, bound), computed once per operator.
+
+        dw is the pencil's mass D = weights/h, which is [1/2, 1, ..., 1, 1/2]
+        exactly on every grid (the boundary-row scaling of `diag`); bd and be
+        are the diagonals of D^-1/2 A D^-1/2, whose eigenvalues are the
+        operator's; bound >= ||A|| scales the Sturm slack.
+        """
+        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+            raise ValueError("operator entries must be finite")
+        dw = np.ones(self.n)
+        dw[0] = dw[-1] = 0.5
+        bd = self.diag / dw
+        be = self.off / np.sqrt(dw[:-1] * dw[1:])
+        bound = np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.off))
+        return dw, bd, be, bound
+
 
 def assemble_operator(p: Potential, grid: Grid) -> TridiagonalOperator:
     """Assemble the symmetrized operator matrix for the potential p on grid.
@@ -93,10 +117,14 @@ def operator_eigenvalues(op: TridiagonalOperator, grid: Grid, select="a", select
     they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. `select` and
     `select_range` are those of scipy.linalg.eigvalsh_tridiagonal.
     """
-    dw = grid.weights / grid.h
-    bd = op.diag / dw
-    be = op.off / np.sqrt(dw[:-1] * dw[1:])
+    _check_size(op, grid)
+    _, bd, be, _ = op._pencil
     return scipy.linalg.eigvalsh_tridiagonal(bd, be, select=select, select_range=select_range)
+
+
+def _check_size(op: TridiagonalOperator, grid: Grid) -> None:
+    if op.n != grid.n:
+        raise ValueError(f"operator has {op.n} rows, the grid {grid.n} nodes")
 
 
 def resolvent_apply(
@@ -110,22 +138,38 @@ def resolvent_apply(
     `source` holds pointwise right-hand-side values; internally the
     symmetrized system (A_sym + lambda D) u = D source is solved, which is
     row-for-row equivalent. Raises ResonanceProximityError when lambda is
-    within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue. A
-    Sturm count around -lambda finds candidates; the full spectrum is
-    computed only then, to measure the distance.
+    within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue, and
+    ValueError when lambda or the source is not finite.
+
+    The route, per call: LAPACK stebz counts the eigenvalues in
+    [-lambda - reach, -lambda + reach] by bisection (a Sturm count; reach is
+    the tolerance plus _STURM_SLACK * ||A||); only on a hit is the full
+    spectrum computed (operator_eigenvalues) to measure the distance. LAPACK
+    gtsv then solves the tridiagonal system: the routines and inputs of
+    eigvalsh_tridiagonal and solve_banded, so the solution is bitwise theirs.
+    The D-scaled diagonals and the ||A|| bound are computed once per operator.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"spectral parameter must be finite, got {lam}")
+    _check_size(op, grid)
+    dw, bd, be, bound = op._pencil
+    rhs = dw * source
+    if rhs.shape != (op.n,) or not np.all(np.isfinite(rhs)):
+        raise ValueError(f"source must be {op.n} finite values")
     tol = RESONANCE_RTOL * max(1.0, abs(lam))
-    reach = tol + _STURM_SLACK * (np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off)))
-    if operator_eigenvalues(op, grid, "v", (-lam - reach, -lam + reach)).size:
+    reach = tol + _STURM_SLACK * bound
+    hits, _, _, _, info = _STEBZ(bd, be, 1, -lam - reach, -lam + reach, 1, 1, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
+    if hits:
         distance = float(np.min(np.abs(lam + operator_eigenvalues(op, grid))))
         if distance < tol:
             raise ResonanceProximityError(lam, distance)
-    dw = grid.weights / grid.h
-    ab = np.zeros((3, grid.n))
-    ab[0, 1:] = op.off
-    ab[1, :] = op.diag + lam * dw
-    ab[2, :-1] = op.off
-    return scipy.linalg.solve_banded((1, 1), ab, dw * source)
+    # op.off is passed twice and copied by the wrapper: gtsv overwrites dl and du
+    _, _, _, u, info = _GTSV(op.off, op.diag + lam * dw, op.off, rhs, 0, 1, 0, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gtsv failed (LAPACK info={info})")
+    return u
 
 
 def solve_forward(p: Potential, lam: float, grid: Grid) -> Snapshot:

@@ -88,12 +88,15 @@ def transfer_derivative(snapshot: Snapshot, grid: Grid) -> float:
 
 
 def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
-    """The boundary data (F, dF) of one medium, read off its snapshot columns."""
-    snaps = [Snapshot(lam=float(lam), values=V.V[:, j]) for j, lam in enumerate(V.lambdas)]
-    samples = [
-        SpectralSample(s.lam, measure_transfer(s, V.grid), transfer_derivative(s, V.grid))
-        for s in snaps
-    ]
+    """The boundary data (F, dF) of one medium, read off its snapshot columns.
+
+    F is the first row of V and dF = -sum(weights * u * u) per column u, as
+    transfer_derivative computes it: each column is summed as one contiguous
+    row of V^T, which keeps numpy's pairwise order, so the bits are the same.
+    """
+    Vt = np.ascontiguousarray(V.V.T)
+    dF = -(V.grid.weights * Vt * Vt).sum(axis=1)
+    samples = [SpectralSample(*row) for row in zip(V.lambdas.tolist(), Vt[:, 0].tolist(), dF.tolist())]
     return DataSet(L=V.grid.L, samples=tuple(samples), label=label)
 
 

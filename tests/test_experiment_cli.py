@@ -193,6 +193,13 @@ class TestRunExperiment:
             run_experiment(config)
         assert excinfo.value.stage == "internal-solution"
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_internal_lambda_is_named(self, tmp_path, lam):
+        config = preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
+        with pytest.raises(ExperimentError, match=f"finite, got {lam}") as excinfo:
+            run_experiment(config)
+        assert excinfo.value.stage == "internal-solution"
+
     def test_default_internal_lambda_between_middle_samples(self):
         lams = np.array([-9.0, -7.0, -4.0, -1.0])
         assert default_internal_lambda(lams) == -5.5

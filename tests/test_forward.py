@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from lslimaging import (
@@ -10,15 +11,19 @@ from lslimaging import (
     Grid,
     PoleError,
     ResonanceProximityError,
+    StepPotential,
     TabulatedPotential,
+    TridiagonalOperator,
     ZeroPotential,
     analytic_background_transfer,
     assemble_operator,
+    compute_snapshot_matrix,
     constant_potential,
     measure_transfer,
     operator_eigenvalues,
     resolvent_apply,
     solve_forward,
+    weyl_sample,
 )
 
 COTH_1 = math.cosh(1.0) / math.sinh(1.0)  # 1.3130352854993312
@@ -188,3 +193,52 @@ class TestResolventApply:
         lhs = g.inner(f, resolvent_apply(op, g, lam, h))
         rhs = g.inner(h, resolvent_apply(op, g, lam, f))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_is_named(self, lam):
+        g = Grid(L=1.0, n=51)
+        op = assemble_operator(ZeroPotential(), g)
+        with pytest.raises(ValueError, match=f"finite, got {lam}"):
+            resolvent_apply(op, g, lam, np.ones(g.n))
+        with pytest.raises(ValueError, match=f"finite, got {lam}"):
+            solve_forward(ZeroPotential(), lam, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_or_operator_rejected(self, bad):
+        g = Grid(L=1.0, n=51)
+        op = assemble_operator(ZeroPotential(), g)
+        source = np.ones(g.n)
+        source[7] = bad
+        with pytest.raises(ValueError):
+            resolvent_apply(op, g, -3.0, source)
+        diag = op.diag.copy()
+        diag[7] = bad
+        with pytest.raises(ValueError):
+            resolvent_apply(TridiagonalOperator(diag=diag, off=op.off), g, -3.0, np.ones(g.n))
+
+    def test_operator_is_not_overwritten(self):
+        g = Grid(L=1.0, n=51)
+        op = assemble_operator(constant_potential(1.0, 1.0), g)
+        diag, off = op.diag.copy(), op.off.copy()
+        resolvent_apply(op, g, -3.0, np.ones(g.n))
+        assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
+
+
+class TestSnapshotMatrix:
+    @pytest.mark.parametrize("p", [GaussianPotential(5.0, 0.5, 0.1), StepPotential(((0.4, 0.6, 4.0),))],
+                             ids=["gaussian", "step"])
+    def test_columns_equal_the_banded_solver(self, p):
+        # reference: scipy's solve_banded column by column, as the solver called it before
+        g = Grid(L=1.0, n=2001)
+        lams = weyl_sample(40, 4, 1.0).lambdas
+        V = compute_snapshot_matrix(p, lams, g).V
+        op = assemble_operator(p, g)
+        dw = g.weights / g.h
+        source = np.zeros(g.n)
+        source[0] = 2.0 / g.h
+        for j, lam in enumerate(lams):
+            ab = np.zeros((3, g.n))
+            ab[0, 1:] = op.off
+            ab[1, :] = op.diag + lam * dw
+            ab[2, :-1] = op.off
+            assert np.array_equal(V[:, j], scipy.linalg.solve_banded((1, 1), ab, dw * source)), lam

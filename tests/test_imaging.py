@@ -132,6 +132,32 @@ class TestSolveRegularized:
         np.testing.assert_allclose(result.singular_values, s, rtol=1e-10)
         assert np.linalg.norm(result.p_est - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
+    @pytest.mark.parametrize("m, n, rank", [(30, 200, 30), (40, 40, 40), (200, 30, 30), (60, 120, 12),
+                                            (120, 60, 12)],
+                             ids=["tall", "square", "wide-in-unknowns", "rank-deficient",
+                                  "rank-deficient-wide-in-unknowns"])
+    def test_matches_an_explicit_svd_reference(self, m, n, rank):
+        # A = P diag(sigma) Q^T with sigma over two decades, so both solves stay well conditioned
+        rng = np.random.default_rng(m + n + rank)
+        P = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+        Q = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+        A = (P * np.logspace(0, -2, rank)) @ Q.T
+        d = rng.standard_normal(m)
+        result = solve_regularized(ImagingSystem(A=A, d=d, grid=Grid(1.0, n), method="born"))
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        keep = s >= DEFAULT_REL_THRESHOLD * s[0]
+        p_ref = Vt[keep].T @ ((U[:, keep].T @ d) / s[keep])
+        assert result.rank == np.count_nonzero(keep) == rank
+        assert result.singular_values.shape == s.shape
+        assert np.max(np.abs(result.singular_values - s)) <= 1e-13 * s[0]
+        assert np.linalg.norm(result.p_est - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+        assert result.residual_norm == pytest.approx(np.linalg.norm(A @ p_ref - d), rel=1e-12)
+
+    def test_all_zero_tall_matrix_rejected(self):
+        system = ImagingSystem(A=np.zeros((4, 3)), d=np.ones(4), grid=Grid(1.0, 3), method="born")
+        with pytest.raises(DegenerateSystemError):
+            solve_regularized(system)
+
     def test_all_zero_matrix_rejected(self):
         g = Grid(1.0, 4)
         system = ImagingSystem(A=np.zeros((3, 4)), d=np.ones(3), grid=g, method="born")

@@ -18,6 +18,7 @@ from lslimaging import (
     compute_snapshot_matrix,
     generate_dataset,
     load_dataset,
+    measure_dataset,
     measure_transfer,
     operator_eigenvalues,
     save_dataset,
@@ -114,6 +115,15 @@ class TestGenerateDataset:
     def test_non_finite_sample_points_rejected(self, g, bad):
         with pytest.raises(ValueError, match=f"finite, got \\[{bad}\\]"):
             compute_snapshot_matrix(ZeroPotential(), [bad, -5.0], g)
+
+    def test_matches_the_per_snapshot_measurements(self, g):
+        # reference: one Snapshot and one measure_transfer/transfer_derivative per column
+        V = compute_snapshot_matrix(GaussianPotential(5.0, 0.5, 0.1), weyl_sample(10, 4, 1.0).lambdas, g)
+        data = measure_dataset(V, "gaussian")
+        snaps = [Snapshot(lam=lam, values=V.V[:, j]) for j, lam in enumerate(V.lambdas)]
+        assert np.array_equal(data.lambdas, V.lambdas)
+        assert np.array_equal(data.F, [measure_transfer(s, g) for s in snaps])
+        assert np.array_equal(data.dF, [transfer_derivative(s, g) for s in snaps])
 
     def test_label_defaults_to_potential_label(self, g):
         data = generate_dataset(ZeroPotential(), [-5.0], g)
