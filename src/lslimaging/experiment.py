@@ -193,8 +193,12 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     table (x, u_true, u_background, u_lsl) at one intermediate spectral
     parameter, and a key=value summary with errors and singular values.
     Columns of methods that were not requested are filled with nan.
-    Raises ExperimentError naming the failing stage.
+    Raises ExperimentError naming the failing stage; a non-finite
+    internal_lambda fails its stage before any forward sweep runs.
     """
+    lam = config.internal_lambda
+    if lam is not None and not np.isfinite(lam):
+        raise ExperimentError("internal-solution", ValueError(f"internal_lambda must be finite, got {lam}"))
     stage = "validate"
     try:
         grid = Grid(config.L, config.n)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
 
+from ._lapack import dgtsv as _GTSV, dstebz as _STEBZ, dstevd as _STEVD
 from .errors import PoleError, ResonanceProximityError
 from .grid import Grid
 from .potentials import Potential
@@ -29,10 +28,6 @@ RESONANCE_RTOL = 1e-10
 # at n = 2001), more than RESONANCE_RTOL for the low modes of fine grids, so
 # the count looks this much further and the full spectrum decides.
 _STURM_SLACK = 32.0 * np.finfo(float).eps
-
-# The routines scipy's eigvalsh_tridiagonal(select="v") and
-# solve_banded((1, 1), ...) dispatch to, called without their per-call wrappers.
-_STEBZ, _GTSV = get_lapack_funcs(("stebz", "gtsv"), dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +104,22 @@ def assemble_operator(p: Potential, grid: Grid) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, off=off)
 
 
-def operator_eigenvalues(op: TridiagonalOperator, grid: Grid, select="a", select_range=None):
-    """Discrete eigenvalues of the operator, ascending.
+def operator_eigenvalues(op: TridiagonalOperator, grid: Grid) -> np.ndarray:
+    """All discrete eigenvalues of the operator, ascending.
 
     These are the eigenvalues of the pencil (A, D) with D = weights/h,
     i.e. of the plain collocation matrix before row scaling; for p = 0
-    they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. `select` and
-    `select_range` are those of scipy.linalg.eigvalsh_tridiagonal.
+    they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. The route is
+    LAPACK stevd on the D-scaled diagonals, eigenvalues only: the driver
+    scipy.linalg.eigvalsh_tridiagonal uses for the full spectrum, so the
+    values are bitwise its.
     """
     _check_size(op, grid)
     _, bd, be, _ = op._pencil
-    return scipy.linalg.eigvalsh_tridiagonal(bd, be, select=select, select_range=select_range)
+    w, _, info = _STEVD(bd, be, compute_v=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stevd failed (LAPACK info={info})")
+    return w
 
 
 def _check_size(op: TridiagonalOperator, grid: Grid) -> None:
@@ -141,11 +141,13 @@ def resolvent_apply(
     within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue, and
     ValueError when lambda or the source is not finite.
 
-    The route, per call: LAPACK stebz counts the eigenvalues in
+    The route, per call, runs LAPACK routines from scipy's compiled f2py
+    wrappers, loaded without scipy.linalg's package initialization (see
+    `_lapack`). stebz counts the eigenvalues in
     [-lambda - reach, -lambda + reach] by bisection (a Sturm count; reach is
     the tolerance plus _STURM_SLACK * ||A||); only on a hit is the full
-    spectrum computed (operator_eigenvalues) to measure the distance. LAPACK
-    gtsv then solves the tridiagonal system: the routines and inputs of
+    spectrum computed (operator_eigenvalues) to measure the distance. gtsv
+    then solves the tridiagonal system: the routines and inputs of
     eigvalsh_tridiagonal and solve_banded, so the solution is bitwise theirs.
     The D-scaled diagonals and the ||A|| bound are computed once per operator.
     """

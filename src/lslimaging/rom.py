@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import dstevd
 from .errors import (
     DegenerateMassError,
     DegenerateSourceError,
@@ -216,8 +216,7 @@ def lsl_fields(
     if k < 1:
         raise DimensionMismatchError("no common retained rank")
     lams = np.asarray(lams, dtype=float)
-    T = factors.T[:k, :k]
-    theta, S = scipy.linalg.eigh_tridiagonal(np.diag(T), np.diag(T, 1))
+    theta, S = _tridiagonal_eigh(factors.T[:k, :k])
     shifted = theta[:, None] + lams
     distance = np.min(np.abs(shifted), axis=0)
     near = np.flatnonzero(distance < RESONANCE_RTOL * np.maximum(1.0, np.abs(lams)))
@@ -225,6 +224,24 @@ def lsl_fields(
         raise RomResonanceError(float(lams[near[0]]), float(distance[near[0]]))
     Y = S @ (S[0][:, None] / shifted)
     return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ Y))
+
+
+def _tridiagonal_eigh(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal T.
+
+    LAPACK stevd, the driver scipy.linalg.eigh_tridiagonal uses for a full
+    decomposition, on the same inputs, so both results are bitwise its.
+    """
+    if not np.all(np.isfinite(T)):
+        raise ValueError("the reduced model's T must be finite")
+    if T.shape[0] == 1:
+        # scipy exits early here too; the dstevd wrapper rejects the empty
+        # off-diagonal of a 1 x 1 matrix
+        return T[0], np.ones((1, 1))
+    theta, S, info = dstevd(np.diag(T), np.diag(T, 1), compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stevd failed (LAPACK info={info})")
+    return theta, S
 
 
 def lsl_internal(

@@ -200,6 +200,21 @@ class TestRunExperiment:
             run_experiment(config)
         assert excinfo.value.stage == "internal-solution"
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_internal_lambda_fails_before_any_solve(self, tmp_path, monkeypatch, lam):
+        solves = []
+        resolvent_apply = lslimaging.forward.resolvent_apply
+
+        def counting(*args, **kwargs):
+            solves.append(args[2])
+            return resolvent_apply(*args, **kwargs)
+
+        monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting)
+        config = preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
+        with pytest.raises(ExperimentError, match="internal_lambda must be finite"):
+            run_experiment(config)
+        assert solves == []
+
     def test_default_internal_lambda_between_middle_samples(self):
         lams = np.array([-9.0, -7.0, -4.0, -1.0])
         assert default_internal_lambda(lams) == -5.5

@@ -63,6 +63,15 @@ class TestOperatorAssembly:
         assert abs(mu[0]) < 1e-6
         assert abs(mu[1] - np.pi**2) / np.pi**2 < 1e-5
 
+    @pytest.mark.parametrize("p", [ZeroPotential(), GaussianPotential(5.0, 0.5, 0.1), StepPotential(((0.4, 0.6, 4.0),))],
+                             ids=["zero", "gaussian", "step"])
+    def test_spectrum_equals_scipys_eigvalsh_tridiagonal(self, p):
+        g = Grid(L=1.0, n=2001)
+        op = assemble_operator(p, g)
+        dw = g.weights / g.h
+        reference = scipy.linalg.eigvalsh_tridiagonal(op.diag / dw, op.off / np.sqrt(dw[:-1] * dw[1:]))
+        assert np.array_equal(operator_eigenvalues(op, g), reference)
+
     def test_apply_matches_dense_product(self):
         g = Grid(L=1.0, n=31)
         op = assemble_operator(constant_potential(1.5, 1.0), g)

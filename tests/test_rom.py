@@ -12,6 +12,7 @@ from lslimaging import (
     Grid,
     LoewnerPencil,
     RomResonanceError,
+    StepPotential,
     ZeroPotential,
     analytic_background_transfer,
     assemble_operator,
@@ -27,6 +28,7 @@ from lslimaging import (
     solve_forward,
     weyl_sample,
 )
+from lslimaging.rom import _tridiagonal_eigh
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +353,18 @@ class TestLslFields:
             assert np.linalg.norm(W[:, j] - ref) <= 1e-10 * np.linalg.norm(ref)
             single = lsl_internal(V0, factors0, factors, lam).values
             assert np.linalg.norm(single - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("p, N", [(ZeroPotential(), 0), (GaussianPotential(5.0, 0.5, 0.1), 10),
+                                      (StepPotential(((0.4, 0.6, 4.0),)), 40)],
+                             ids=["k1", "gaussian", "step-m160"])
+    def test_eigendecomposition_equals_scipys_eigh_tridiagonal(self, g, p, N):
+        lams = weyl_sample(N, 4, 1.0).lambdas if N else [-5.0]
+        T = lanczos(build_loewner(generate_dataset(p, lams, g))).T
+        assert (T.shape[0] == 1) == (N == 0)
+        theta, S = _tridiagonal_eigh(T)
+        ref_theta, ref_S = scipy.linalg.eigh_tridiagonal(np.diag(T), np.diag(T, 1))
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(S, ref_S)
 
     def test_resonance_error_names_first_offending_lambda(self, g, gaussian_data, background_data):
         V0, factors0 = background_rom(background_data, g)
