@@ -1,0 +1,87 @@
+"""Digest of the command line's outputs, for checking that a change keeps them.
+
+Runs a fixed set of `lslimaging` commands in a temporary directory: six
+preset experiments, two `simulate` runs, both `reconstruct` methods and eight
+failure cases. Prints one sorted `sha256  name` line per output file, per
+stdout, and per stderr plus exit code. Paths in the outputs are relative to
+the temporary directory, so two trees give comparable lines:
+
+    PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
+
+Run it on two trees and `diff` the results. Bytes are promised only on one
+machine and library stack, so no reference digest is kept.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIG = "potential = {}\nL = 1.0\nn = 2001\nN = 10\nf = 4\n"
+
+# (name, arguments); each writes into the working directory
+RUNS = [
+    ("exp-gaussian", ["experiment", "gaussian", "--outdir", "exp-gaussian"]),
+    ("exp-step", ["experiment", "step", "--outdir", "exp-step"]),
+    ("exp-zero", ["experiment", "zero", "--outdir", "exp-zero"]),
+    ("exp-step-n40", ["experiment", "step", "--intervals", "40", "--outdir", "exp-step-n40"]),
+    ("exp-gaussian-lsl", ["experiment", "gaussian", "--methods", "lsl", "--outdir", "exp-gaussian-lsl"]),
+    ("exp-step-born", ["experiment", "step", "--methods", "born", "--outdir", "exp-step-born"]),
+    ("sim-true", ["simulate", "--config", "gaussian.cfg", "--out", "true.txt"]),
+    ("sim-background", ["simulate", "--config", "gaussian.cfg", "--set", "potential=zero",
+                        "--out", "background.txt"]),
+    ("rec-born", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
+                  "--method", "born", "--out", "rec-born.txt"]),
+    ("rec-lsl", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
+                 "--method", "lsl", "--out", "rec-lsl.txt"]),
+]
+
+_REC = ["reconstruct", "--data", "true.txt", "--background", "background.txt", "--method", "lsl"]
+FAILURES = [
+    ("fail-reconstruct-load-data", ["reconstruct", "--data", "absent.txt", "--background",
+                                    "background.txt", "--method", "born", "--out", "o.txt"]),
+    ("fail-reconstruct-reconstruct", _REC + ["--nodes", "2", "--out", "o.txt"]),
+    ("fail-reconstruct-write-output", _REC + ["--out", "missing/o.txt"]),
+    ("fail-simulate-load-config", ["simulate", "--config", "bad.cfg", "--out", "o.txt"]),
+    ("fail-simulate-write-output", ["simulate", "--config", "gaussian.cfg", "--out", "missing/o.txt"]),
+    ("fail-experiment-configure", ["experiment", "zero", "--nodes", "2", "--outdir", "o"]),
+    ("fail-experiment-nan-lambda", ["experiment", "zero", "--internal-lambda", "nan", "--outdir", "o"]),
+    ("fail-experiment-resonance", ["experiment", "zero", "--internal-lambda", "0", "--nodes", "401",
+                                   "--intervals", "3", "--f", "3", "--outdir", "o"]),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    # the commands run in the temporary directory, so a relative PYTHONPATH is resolved here
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(os.path.abspath(e) for e in entries if e)}
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "gaussian.cfg").write_text(CONFIG.format("gaussian"))
+        (work / "bad.cfg").write_text("no_such_key = 1\n")
+        for name, args in RUNS + FAILURES:
+            proc = subprocess.run([sys.executable, "-m", "lslimaging.cli", *args],
+                                  cwd=work, env=env, capture_output=True)
+            if name.startswith("fail-"):
+                lines.append(f"{_sha(proc.stderr + b'exit=%d' % proc.returncode)}  {name}:stderr+exit")
+            elif proc.returncode != 0:
+                sys.stderr.write(f"{name} failed:\n{proc.stderr.decode()}")
+                return 1
+            lines.append(f"{_sha(proc.stdout)}  {name}:stdout")
+        for path in work.rglob("*"):
+            if path.is_file() and path.suffix != ".cfg":
+                lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")
+    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExperimentError, ImagingError
+from .errors import ExperimentError, stage
 from .experiment import (
     PRESETS,
+    _write_reconstruction,
     load_config,
     preset_config,
     read_summary,
     run_experiment,
-    write_table,
 )
 from .grid import Grid
 from .imaging import DEFAULT_REL_THRESHOLD, DEFAULT_GRID_NODES, METHODS, reconstruct
@@ -34,48 +34,31 @@ def _parse_overrides(pairs):
 
 
 def _cmd_simulate(args) -> int:
-    stage = "load-config"
-    try:
+    with stage("load-config"):
         config = load_config(args.config, **_parse_overrides(args.set))
-        stage = "sampling"
+    with stage("sampling"):
         plan = weyl_sample(config.N, config.f, config.L)
-        stage = "simulate"
+    with stage("simulate"):
         grid = Grid(config.L, config.n)
         data = generate_dataset(config.potential, plan.lambdas, grid, label=config.label)
-        stage = "write-output"
+    with stage("write-output"):
         save_dataset(data, args.out)
-    except (ImagingError, ValueError, OSError) as exc:
-        print(f"error in stage '{stage}': {exc}", file=sys.stderr)
-        return 1
     print(f"wrote {data.m} samples for medium '{data.label}' to {args.out}")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    stage = "load-data"
-    try:
+    with stage("load-data"):
         data = load_dataset(args.data)
         data0 = load_dataset(args.background)
-        stage = "reconstruct"
+    with stage("reconstruct"):
         grid = Grid(data.L, args.nodes)
         result = reconstruct(
             data, data0, args.method, grid=grid,
             rel_threshold=args.threshold, truncation_tol=args.truncation_tol,
         )
-        stage = "write-output"
-        nan_col = np.full(grid.n, np.nan)
-        columns = {
-            "born": result.p_est if args.method == "born" else nan_col,
-            "lsl": result.p_est if args.method == "lsl" else nan_col,
-        }
-        write_table(
-            args.out,
-            ("x", "p_true", "p_born", "p_lsl"),
-            (grid.nodes, nan_col, columns["born"], columns["lsl"]),
-        )
-    except (ImagingError, ValueError, OSError) as exc:
-        print(f"error in stage '{stage}': {exc}", file=sys.stderr)
-        return 1
+    with stage("write-output"):
+        _write_reconstruction(args.out, grid, np.full(grid.n, np.nan), {args.method: result})
     print(
         f"method={result.method} rank={result.rank} "
         f"residual={result.residual_norm:.6e} -> {args.out}"
@@ -95,15 +78,9 @@ def _cmd_experiment(args) -> int:
         overrides["internal_lambda"] = args.internal_lambda
     if args.methods is not None:
         overrides["methods"] = tuple(tok.strip() for tok in args.methods.split(","))
-    try:
+    with stage("configure"):
         config = preset_config(args.preset, outdir=Path(args.outdir), **overrides)
-        paths = run_experiment(config)
-    except ExperimentError as exc:
-        print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
-        return 1
-    except (ImagingError, ValueError, OSError) as exc:
-        print(f"error in stage 'configure': {exc}", file=sys.stderr)
-        return 1
+    paths = run_experiment(config)
     summary = read_summary(paths["summary"])
     for key in ("label", "m", "internal_lambda", "err_internal_background",
                 "err_internal_lsl", "err_born", "err_lsl"):
@@ -160,7 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExperimentError as exc:
+        print(f"error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 """Exception types raised by the imaging pipeline."""
+from contextlib import contextmanager
 
 
 class ImagingError(Exception):
@@ -65,3 +66,17 @@ class ExperimentError(ImagingError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+@contextmanager
+def stage(name: str):
+    """Run a block as pipeline stage `name`: its failures become ExperimentError(name, cause).
+
+    An ExperimentError raised by an inner stage passes through unchanged.
+    """
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except (ImagingError, ValueError, OSError) as exc:
+        raise ExperimentError(name, exc) from exc

@@ -1,13 +1,13 @@
 """Experiment orchestration: configuration, presets, and file outputs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ExperimentError, ImagingError
+from .errors import stage
 from .forward import compute_snapshot_matrix, solve_forward
 from .grid import Grid
 from .imaging import (
@@ -84,23 +84,31 @@ def preset_potential(name: str, L: float = 1.0) -> Potential:
 
 
 def preset_config(name: str, f: int = 4, outdir: Union[str, Path] = ".", **overrides) -> ExperimentConfig:
-    """Experiment configuration for one of the named presets."""
-    base = ExperimentConfig(
-        potential=preset_potential(name),
-        f=f,
-        outdir=Path(outdir),
-        label=name,
-    )
-    return replace(base, **overrides) if overrides else base
+    """Experiment configuration for one of the named presets, its medium scaled to L."""
+    potential = preset_potential(name, overrides.get("L", ExperimentConfig.L))
+    return ExperimentConfig(**{"potential": potential, "f": f, "outdir": Path(outdir),
+                               "label": name, **overrides})
 
 
 # -- plain-text key=value configuration ------------------------------------
 
-_CONFIG_KEYS = (
-    "L", "n", "N", "f", "methods", "rel_threshold", "truncation_tol",
-    "internal_lambda", "outdir", "label", "potential",
-    "gaussian_amplitude", "gaussian_center", "gaussian_width", "step_pieces",
-)
+def _parse_methods(text: str) -> Tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _parse_internal_lambda(text: str) -> Optional[float]:
+    return None if text.strip() in ("", "auto") else float(text)
+
+
+#: ExperimentConfig fields settable from a config file, and their parsers;
+#: a key that is absent keeps the dataclass default.
+_CONFIG_FIELDS = {
+    "L": float, "n": int, "N": int, "f": int, "methods": _parse_methods,
+    "rel_threshold": float, "truncation_tol": float,
+    "internal_lambda": _parse_internal_lambda, "outdir": Path, "label": str,
+}
+_CONFIG_KEYS = (*_CONFIG_FIELDS, "potential",
+                "gaussian_amplitude", "gaussian_center", "gaussian_width", "step_pieces")
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -121,44 +129,28 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 
 def _potential_from_mapping(mapping: Mapping[str, str], L: float) -> Potential:
+    """The preset medium of kind `potential` (default zero), with its keys applied."""
     kind = mapping.get("potential", "zero")
-    if kind == "zero":
-        return ZeroPotential()
+    if kind not in PRESETS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    medium = preset_potential(kind, L)
     if kind == "gaussian":
-        return GaussianPotential(
-            amplitude=float(mapping.get("gaussian_amplitude", 5.0)),
-            center=float(mapping.get("gaussian_center", 0.5 * L)),
-            width=float(mapping.get("gaussian_width", 0.1 * L)),
-        )
-    if kind == "step":
-        spec = mapping.get("step_pieces", f"{0.4 * L}:{0.6 * L}:4")
-        pieces = []
-        for piece in spec.split(";"):
-            lo, hi, val = (float(tok) for tok in piece.split(":"))
-            pieces.append((lo, hi, val))
-        return StepPotential(tuple(pieces))
-    raise ValueError(f"unknown potential kind {kind!r}")
+        keys = {f.name: f"gaussian_{f.name}" for f in fields(medium)}
+        return replace(medium, **{name: float(mapping[key])
+                                  for name, key in keys.items() if key in mapping})
+    if kind == "step" and "step_pieces" in mapping:
+        return StepPotential(tuple(tuple(float(tok) for tok in piece.split(":"))
+                                   for piece in mapping["step_pieces"].split(";")))
+    return medium
 
 
 def config_from_mapping(mapping: Mapping[str, str], **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed key=value strings."""
     merged = dict(mapping)
     merged.update({k: str(v) for k, v in overrides.items()})
-    L = float(merged.get("L", 1.0))
-    internal = merged.get("internal_lambda", "auto").strip()
-    return ExperimentConfig(
-        potential=_potential_from_mapping(merged, L),
-        L=L,
-        n=int(merged.get("n", DEFAULT_GRID_NODES)),
-        N=int(merged.get("N", 10)),
-        f=int(merged.get("f", 4)),
-        methods=tuple(tok.strip() for tok in merged.get("methods", "born,lsl").split(",") if tok.strip()),
-        rel_threshold=float(merged.get("rel_threshold", DEFAULT_REL_THRESHOLD)),
-        truncation_tol=float(merged.get("truncation_tol", DEFAULT_TRUNCATION_TOL)),
-        internal_lambda=None if internal in ("", "auto") else float(internal),
-        outdir=Path(merged.get("outdir", ".")),
-        label=merged.get("label", ""),
-    )
+    parsed = {key: parse(merged[key]) for key, parse in _CONFIG_FIELDS.items() if key in merged}
+    potential = _potential_from_mapping(merged, parsed.get("L", ExperimentConfig.L))
+    return ExperimentConfig(potential=potential, **parsed)
 
 
 def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:
@@ -175,6 +167,14 @@ def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
     _write_rows(path, " ".join(names), columns)
+
+
+def _write_reconstruction(path: Union[str, Path], grid: Grid, p_true: np.ndarray,
+                          results: Mapping[str, ReconstructionResult]) -> None:
+    """The table x, p_true, p_<method> for each of METHODS; nan for a method not run."""
+    nan_col = np.full(grid.n, np.nan)
+    columns = [results[m].p_est if m in results else nan_col for m in METHODS]
+    write_table(path, ("x", "p_true", *(f"p_{m}" for m in METHODS)), (grid.nodes, p_true, *columns))
 
 
 def default_internal_lambda(lambdas: np.ndarray) -> float:
@@ -197,55 +197,44 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     internal_lambda fails its stage before any forward sweep runs.
     """
     lam = config.internal_lambda
-    if lam is not None and not np.isfinite(lam):
-        raise ExperimentError("internal-solution", ValueError(f"internal_lambda must be finite, got {lam}"))
-    stage = "validate"
-    try:
+    with stage("internal-solution"):
+        if lam is not None and not np.isfinite(lam):
+            raise ValueError(f"internal_lambda must be finite, got {lam}")
+    with stage("validate"):
         grid = Grid(config.L, config.n)
         p_true = config.potential.evaluate(grid)
-
-        stage = "sampling"
+    with stage("sampling"):
         plan = weyl_sample(config.N, config.f, config.L)
-
-        stage = "simulate-true"
+    with stage("simulate-true"):
         data = generate_dataset(config.potential, plan.lambdas, grid,
                                 label=f"{config.label}-true")
-        stage = "simulate-background"
+    with stage("simulate-background"):
         V0 = compute_snapshot_matrix(ZeroPotential(), plan.lambdas, grid)
         data0 = measure_dataset(V0, label=f"{config.label}-background")
 
-        results: Dict[str, ReconstructionResult] = {}
-        for method in config.methods:
-            stage = f"reconstruct-{method}"
+    results: Dict[str, ReconstructionResult] = {}
+    for method in config.methods:
+        with stage(f"reconstruct-{method}"):
             results[method] = reconstruct(
                 data, data0, method, grid=grid,
                 rel_threshold=config.rel_threshold,
                 truncation_tol=config.truncation_tol, background=V0,
             )
 
-        stage = "internal-solution"
-        lam_star = (default_internal_lambda(plan.lambdas)
-                    if config.internal_lambda is None else config.internal_lambda)
+    with stage("internal-solution"):
+        lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
         u_true = solve_forward(config.potential, lam_star, grid).values
         u_bg = solve_forward(ZeroPotential(), lam_star, grid).values
-        nan_col = np.full(grid.n, np.nan)
         u_lsl = (lsl_internal(V0, *results["lsl"].factors, lam_star).values
-                 if "lsl" in results else nan_col)
+                 if "lsl" in results else np.full(grid.n, np.nan))
 
-        stage = "write-outputs"
+    with stage("write-outputs"):
         outdir = config.outdir
         outdir.mkdir(parents=True, exist_ok=True)
         paths = {name.split(".")[0]: outdir / name for name in OUTPUT_FILES}
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
-
-        write_table(
-            paths["reconstruction"],
-            ("x", "p_true", "p_born", "p_lsl"),
-            (grid.nodes, p_true,
-             results["born"].p_est if "born" in results else nan_col,
-             results["lsl"].p_est if "lsl" in results else nan_col),
-        )
+        _write_reconstruction(paths["reconstruction"], grid, p_true, results)
         write_table(
             paths["internal_solution"],
             ("x", "u_true", "u_background", "u_lsl"),
@@ -267,27 +256,17 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             "err_internal_lsl = " + _FMT % relative_l2_error(u_lsl, u_true, grid),
         ]
         for method in METHODS:
-            if method in results:
-                res = results[method]
-                err = relative_l2_error(res.p_est, p_true, grid)
-                lines.append(f"err_{method} = " + _FMT % err)
-                lines.append(f"residual_{method} = " + _FMT % res.residual_norm)
-                lines.append(f"rank_{method} = {res.rank}")
-            else:
-                lines.append(f"err_{method} = nan")
-                lines.append(f"residual_{method} = nan")
-                lines.append(f"rank_{method} = 0")
+            res = results.get(method)
+            err, residual, rank = (np.nan, np.nan, 0) if res is None else (
+                relative_l2_error(res.p_est, p_true, grid), res.residual_norm, res.rank)
+            lines += [f"err_{method} = " + _FMT % err,
+                      f"residual_{method} = " + _FMT % residual,
+                      f"rank_{method} = {rank}"]
         for method in METHODS:
-            values = (" ".join(_FMT % v for v in results[method].singular_values)
-                      if method in results else "")
-            lines.append(f"singular_values_{method} = {values}")
+            values = results[method].singular_values if method in results else ()
+            lines.append(f"singular_values_{method} = " + " ".join(_FMT % v for v in values))
         paths["summary"].write_text("\n".join(lines) + "\n")
-        return paths
-    except ExperimentError:
-        raise
-    except (ImagingError, ValueError, OSError) as exc:
-        raise ExperimentError(stage, exc) from exc
-
+    return paths
 
 def read_summary(path: Union[str, Path]) -> Dict[str, str]:
     """Parse a summary file back into a key -> raw string mapping."""

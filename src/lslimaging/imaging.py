@@ -89,33 +89,28 @@ def solve_regularized(
     returned result records the full spectrum, the retained rank, and the
     recomputed residual norm.
 
-    The route: a Householder QR of the tall side (A^T when A has fewer rows
-    than columns, else A itself), the SVD of the small triangular factor R,
-    and Q applied to a short vector through its reflectors, so the long
-    orthogonal factor of A's SVD is never formed. All in numpy; scipy's
-    LAPACK links another OpenBLAS build, which measured slower at 2 threads.
+    The route, for every shape of A: a Householder QR of A^T, the reduced SVD
+    of its upper-trapezoidal factor R (square when A is wide, as imaging
+    systems are), and Q applied to a short vector through its reflectors, so
+    the long orthogonal factor of A's SVD is never formed. All in numpy;
+    scipy's LAPACK links another OpenBLAS build, which measured slower at 2
+    threads.
     """
     if not (0.0 < rel_threshold < 1.0):
         raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     A, d = system.A, np.asarray(system.d, dtype=float)
-    wide = A.shape[0] < A.shape[1]
-    h, tau = np.linalg.qr(A.T if wide else A, mode="raw")
+    h, tau = np.linalg.qr(A.T, mode="raw")
     # row i of h holds reflector i below its unit head; contiguous rows make the loop fast
     h = np.ascontiguousarray(h)
     k = tau.size
-    U, s, Vt = np.linalg.svd(np.triu(h[:, :k].T))
+    U, s, Vt = np.linalg.svd(np.triu(h[:, :k].T), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateSystemError("imaging system matrix is identically zero")
     keep = s >= rel_threshold * s[0]
-    if wide:
-        # A^T = Q U diag(s) Vt, so p = Q U diag(1/s) Vt d
-        p_est = np.zeros(A.shape[1])
-        p_est[:k] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
-        _reflect(h, tau, p_est, range(k - 1, -1, -1))
-    else:
-        # A = Q U diag(s) Vt, so p = Vt^T diag(1/s) U^T Q^T d
-        qtd = _reflect(h, tau, d.copy(), range(k))[:k]
-        p_est = Vt[keep].T @ ((U[:, keep].T @ qtd) / s[keep])
+    # A^T = Q U diag(s) Vt, so p = Q U diag(1/s) Vt d
+    p_est = np.zeros(A.shape[1])
+    p_est[:k] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
+    _reflect(h, tau, p_est)
     residual = float(np.linalg.norm(A @ p_est - system.d))
     return ReconstructionResult(
         p_est=p_est,
@@ -127,14 +122,13 @@ def solve_regularized(
     )
 
 
-def _reflect(h: np.ndarray, tau: np.ndarray, x: np.ndarray, order) -> np.ndarray:
-    """Apply the Householder reflectors I - tau_i v_i v_i^T to x in place, in `order`.
+def _reflect(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply Q to x in place, as its Householder reflectors I - tau_i v_i v_i^T.
 
-    Descending order applies Q, ascending order Q^T, where Q is the factor of
-    np.linalg.qr(..., mode="raw") returning (h, tau); v_i = [1, h[i, i+1:]]
-    starts at entry i.
+    Q is the factor of np.linalg.qr(..., mode="raw") returning (h, tau);
+    v_i = [1, h[i, i+1:]] starts at entry i, and the last reflector acts first.
     """
-    for i in order:
+    for i in range(tau.size - 1, -1, -1):
         v = h[i, i + 1:]
         c = tau[i] * (x[i] + v @ x[i + 1:])
         x[i] -= c

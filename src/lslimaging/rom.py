@@ -206,6 +206,7 @@ def lsl_fields(
     canonical sign convention, otherwise columns pair up wrongly. One
     eigendecomposition T = S diag(theta) S^T serves every lam; the first lam
     within RESONANCE_RTOL * max(1, |lam|) of some -theta raises RomResonanceError.
+    A non-finite lam raises ValueError.
     """
     if V0.m != factors0.Q.shape[0] or factors.Q.shape[0] != factors0.Q.shape[0]:
         raise DimensionMismatchError(
@@ -216,6 +217,8 @@ def lsl_fields(
     if k < 1:
         raise DimensionMismatchError("no common retained rank")
     lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"spectral parameters must be finite, got {lams[~np.isfinite(lams)].tolist()}")
     theta, S = _tridiagonal_eigh(factors.T[:k, :k])
     shifted = theta[:, None] + lams
     distance = np.min(np.abs(shifted), axis=0)

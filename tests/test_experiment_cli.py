@@ -7,8 +7,10 @@ import pytest
 import lslimaging.forward
 import lslimaging.rom
 from lslimaging import (
+    ExperimentConfig,
     ExperimentError,
     GaussianPotential,
+    ImagingError,
     Grid,
     StepPotential,
     ZeroPotential,
@@ -19,8 +21,10 @@ from lslimaging import (
     run_experiment,
 )
 from lslimaging.cli import main
+from lslimaging.errors import stage
 from lslimaging.experiment import (
     OUTPUT_FILES,
+    PRESETS,
     config_from_mapping,
     default_internal_lambda,
     parse_config_text,
@@ -75,6 +79,47 @@ class TestConfigParsing:
             preset_potential("ramp")
         cfg = preset_config("gaussian", f=5, outdir="/tmp/x")
         assert cfg.f == 5 and cfg.label == "gaussian"
+
+    def test_empty_mapping_gives_the_dataclass_defaults(self):
+        cfg = config_from_mapping({})
+        ref = ExperimentConfig(potential=ZeroPotential())
+        for name in ExperimentConfig.__dataclass_fields__:
+            assert getattr(cfg, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("kind", PRESETS)
+    def test_mapping_kind_alone_gives_the_preset(self, kind):
+        assert config_from_mapping({"potential": kind}).potential == preset_potential(kind)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "step"])
+    def test_preset_config_scales_the_medium_with_L(self, kind):
+        from_file = config_from_mapping({"potential": kind, "L": "2"}).potential
+        assert preset_config(kind, L=2.0).potential == from_file == preset_potential(kind, 2.0)
+
+    def test_unknown_potential_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown potential kind 'ramp'"):
+            config_from_mapping({"potential": "ramp"})
+
+
+class TestStage:
+    @pytest.mark.parametrize("exc", [ValueError("v"), OSError("o"), ImagingError("i")])
+    def test_wraps_pipeline_failures(self, exc):
+        with pytest.raises(ExperimentError) as excinfo:
+            with stage("outer"):
+                raise exc
+        assert excinfo.value.stage == "outer"
+        assert excinfo.value.cause is exc
+
+    def test_inner_stage_name_passes_through(self):
+        with pytest.raises(ExperimentError) as excinfo:
+            with stage("outer"):
+                with stage("inner"):
+                    raise ValueError("v")
+        assert excinfo.value.stage == "inner"
+
+    def test_other_exceptions_are_not_wrapped(self):
+        with pytest.raises(KeyError):
+            with stage("outer"):
+                raise KeyError("k")
 
 
 class TestWriteTable:
@@ -281,6 +326,35 @@ class TestCli:
         ])
         assert code == 1
         assert "load-data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, expected", [
+        (["reconstruct", "--data", "absent.txt", "--background", "bg.txt", "--method", "born",
+          "--out", "o.txt"], "load-data"),
+        (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "lsl",
+          "--nodes", "2", "--out", "o.txt"], "reconstruct"),
+        (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "lsl",
+          "--nodes", "401", "--out", "missing/o.txt"], "write-output"),
+        (["simulate", "--config", "bad.cfg", "--out", "o.txt"], "load-config"),
+        (["simulate", "--config", "true.cfg", "--out", "missing/o.txt"], "write-output"),
+        (["experiment", "zero", "--nodes", "2", "--outdir", "run"], "configure"),
+        (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "internal-solution"),
+        (["experiment", "zero", "--internal-lambda", "0", "--nodes", "401", "--intervals", "3",
+          "--f", "3", "--outdir", "run"], "internal-solution"),
+    ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
+            "simulate-load-config", "simulate-write-output", "experiment-configure",
+            "experiment-nan-lambda", "experiment-resonance"])
+    def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected):
+        monkeypatch.chdir(tmp_path)
+        self._write_config(tmp_path / "true.cfg", "gaussian")
+        self._write_config(tmp_path / "bg.cfg", "zero")
+        (tmp_path / "bad.cfg").write_text("no_such_key = 1\n")
+        assert main(["simulate", "--config", "true.cfg", "--out", "true.txt"]) == 0
+        assert main(["simulate", "--config", "bg.cfg", "--out", "bg.txt"]) == 0
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error in stage '{expected}': ")
+        assert captured.out == ""
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

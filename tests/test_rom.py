@@ -374,3 +374,12 @@ class TestLslFields:
         with pytest.raises(RomResonanceError) as excinfo:
             lsl_fields(V0, factors0, factors, lams)
         assert excinfo.value.lam == -theta[4]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, g, gaussian_data, background_data, bad):
+        V0, factors0 = background_rom(background_data, g)
+        factors = lanczos(build_loewner(gaussian_data))
+        with pytest.raises(ValueError, match=rf"finite, got \[{bad}\]"):
+            lsl_fields(V0, factors0, factors, [-30.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            lsl_internal(V0, factors0, factors, bad)
