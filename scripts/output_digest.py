@@ -1,7 +1,7 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: six
-preset experiments, two `simulate` runs, both `reconstruct` methods and eight
+preset experiments, two `simulate` runs, both `reconstruct` methods and nine
 failure cases. Prints one sorted `sha256  name` line per output file, per
 stdout, and per stderr plus exit code. Paths in the outputs are relative to
 the temporary directory, so two trees give comparable lines:
@@ -47,6 +47,8 @@ FAILURES = [
     ("fail-reconstruct-write-output", _REC + ["--out", "missing/o.txt"]),
     ("fail-simulate-load-config", ["simulate", "--config", "bad.cfg", "--out", "o.txt"]),
     ("fail-simulate-write-output", ["simulate", "--config", "gaussian.cfg", "--out", "missing/o.txt"]),
+    ("fail-simulate-set-unknown-key", ["simulate", "--config", "gaussian.cfg", "--set", "nodes=5",
+                                       "--out", "o.txt"]),
     ("fail-experiment-configure", ["experiment", "zero", "--nodes", "2", "--outdir", "o"]),
     ("fail-experiment-nan-lambda", ["experiment", "zero", "--internal-lambda", "nan", "--outdir", "o"]),
     ("fail-experiment-resonance", ["experiment", "zero", "--internal-lambda", "0", "--nodes", "401",

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ExperimentError, stage
 from .experiment import (
+    _CONFIG_FIELDS,
     PRESETS,
+    ExperimentConfig,
     _write_reconstruction,
     load_config,
     preset_config,
@@ -67,19 +68,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        "f": args.f,
-        "n": args.nodes,
-        "N": args.intervals,
-        "rel_threshold": args.threshold,
-        "truncation_tol": args.truncation_tol,
-    }
-    if args.internal_lambda is not None:
-        overrides["internal_lambda"] = args.internal_lambda
-    if args.methods is not None:
-        overrides["methods"] = tuple(tok.strip() for tok in args.methods.split(","))
     with stage("configure"):
-        config = preset_config(args.preset, outdir=Path(args.outdir), **overrides)
+        # a flag left out is absent from args; the rest are text, parsed as in a config file
+        config = preset_config(args.preset, **{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
     paths = run_experiment(config)
     summary = read_summary(paths["summary"])
     for key in ("label", "m", "internal_lambda", "err_internal_background",
@@ -117,20 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced-model truncation tolerance (default %(default)g)")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
-    p_exp = sub.add_parser("experiment", help="run a full preset experiment")
+    p_exp = sub.add_parser("experiment", help="run a full preset experiment",
+                           argument_default=argparse.SUPPRESS)
     p_exp.add_argument("preset", choices=PRESETS)
-    p_exp.add_argument("--f", type=int, default=4,
-                       help="sample points per resonance interval (default %(default)s)")
     p_exp.add_argument("--outdir", required=True, help="directory for output files")
-    p_exp.add_argument("--intervals", type=int, default=10, dest="intervals",
-                       help="number of resonance intervals (default %(default)s)")
-    p_exp.add_argument("--nodes", type=int, default=DEFAULT_GRID_NODES)
-    p_exp.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD)
-    p_exp.add_argument("--truncation-tol", type=float, default=DEFAULT_TRUNCATION_TOL)
-    p_exp.add_argument("--internal-lambda", type=float, default=None,
-                       help="spectral parameter for the internal-solution table")
-    p_exp.add_argument("--methods", default=None,
-                       help="comma-separated subset of born,lsl (default both)")
+    for flag, name, text in (
+        ("--f", "f", "sample points per resonance interval"),
+        ("--intervals", "N", "number of resonance intervals"),
+        ("--nodes", "n", "grid nodes"),
+        ("--threshold", "rel_threshold", "relative singular-value cutoff"),
+        ("--truncation-tol", "truncation_tol", "reduced-model truncation tolerance"),
+        ("--internal-lambda", "internal_lambda", "spectral parameter for the internal-solution table"),
+        ("--methods", "methods", "comma-separated subset of " + ",".join(METHODS)),
+    ):
+        default = getattr(ExperimentConfig, name)
+        shown = ",".join(default) if name == "methods" else "auto" if default is None else default
+        p_exp.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                           help=f"{text} (default {shown})")
     p_exp.set_defaults(func=_cmd_experiment)
     return parser
 

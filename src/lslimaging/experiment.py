@@ -19,7 +19,7 @@ from .imaging import (
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
 from .transfer import _FMT, _write_rows, generate_dataset, measure_dataset, save_dataset
 
@@ -42,7 +42,7 @@ class ExperimentConfig:
     n: int = DEFAULT_GRID_NODES
     N: int = 10
     f: int = 4
-    methods: Tuple[str, ...] = ("born", "lsl")
+    methods: Tuple[str, ...] = METHODS
     rel_threshold: float = DEFAULT_REL_THRESHOLD
     truncation_tol: float = DEFAULT_TRUNCATION_TOL
     internal_lambda: Optional[float] = None
@@ -59,14 +59,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate entries in method list")
-        # fail fast with the same messages the modules would produce
+        # fail fast, with the modules' own checks
         Grid(self.L, self.n)
-        if int(self.N) != self.N or self.N < 1 or int(self.f) != self.f or self.f < 1:
-            raise ValueError(f"N and f must be integers >= 1, got N={self.N} f={self.f}")
-        if not (0.0 < self.rel_threshold < 1.0):
-            raise ValueError(f"rel_threshold must lie in (0, 1), got {self.rel_threshold}")
-        if not (0.0 < self.truncation_tol < 1.0):
-            raise ValueError(f"truncation_tol must lie in (0, 1), got {self.truncation_tol}")
+        weyl_sample(self.N, self.f, self.L)
+        _check_fraction("rel_threshold", self.rel_threshold)
+        _check_fraction("truncation_tol", self.truncation_tol)
 
 
 PRESETS = ("gaussian", "step", "zero")
@@ -83,13 +80,6 @@ def preset_potential(name: str, L: float = 1.0) -> Potential:
     raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
-def preset_config(name: str, f: int = 4, outdir: Union[str, Path] = ".", **overrides) -> ExperimentConfig:
-    """Experiment configuration for one of the named presets, its medium scaled to L."""
-    potential = preset_potential(name, overrides.get("L", ExperimentConfig.L))
-    return ExperimentConfig(**{"potential": potential, "f": f, "outdir": Path(outdir),
-                               "label": name, **overrides})
-
-
 # -- plain-text key=value configuration ------------------------------------
 
 def _parse_methods(text: str) -> Tuple[str, ...]:
@@ -100,7 +90,7 @@ def _parse_internal_lambda(text: str) -> Optional[float]:
     return None if text.strip() in ("", "auto") else float(text)
 
 
-#: ExperimentConfig fields settable from a config file, and their parsers;
+#: ExperimentConfig fields settable by config key, and their text parsers;
 #: a key that is absent keeps the dataclass default.
 _CONFIG_FIELDS = {
     "L": float, "n": int, "N": int, "f": int, "methods": _parse_methods,
@@ -121,11 +111,14 @@ def parse_config_text(text: str) -> Dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r} "
-                             f"(valid: {', '.join(_CONFIG_KEYS)})")
+        _check_key(key, f"config line {lineno}: ")
         out[key] = value
     return out
+
+
+def _check_key(key: str, where: str = "") -> None:
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"{where}unknown key {key!r} (valid: {', '.join(_CONFIG_KEYS)})")
 
 
 def _potential_from_mapping(mapping: Mapping[str, str], L: float) -> Potential:
@@ -145,16 +138,26 @@ def _potential_from_mapping(mapping: Mapping[str, str], L: float) -> Potential:
 
 
 def config_from_mapping(mapping: Mapping[str, str], **overrides) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed key=value strings."""
-    merged = dict(mapping)
-    merged.update({k: str(v) for k, v in overrides.items()})
-    parsed = {key: parse(merged[key]) for key, parse in _CONFIG_FIELDS.items() if key in merged}
-    potential = _potential_from_mapping(merged, parsed.get("L", ExperimentConfig.L))
-    return ExperimentConfig(potential=potential, **parsed)
+    """Build an ExperimentConfig from config keys; an unknown key raises ValueError.
+
+    Overrides win; text field values are parsed as in a file, others taken as they are.
+    """
+    merged = {**mapping, **overrides}
+    for key in merged:
+        _check_key(key)
+    values = {key: parse(merged[key]) if isinstance(merged[key], str) else merged[key]
+              for key, parse in _CONFIG_FIELDS.items() if key in merged}
+    potential = _potential_from_mapping(merged, values.get("L", ExperimentConfig.L))
+    return ExperimentConfig(potential=potential, **values)
 
 
 def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:
     return config_from_mapping(parse_config_text(Path(path).read_text()), **overrides)
+
+
+def preset_config(name: str, **overrides) -> ExperimentConfig:
+    """The config with `potential` and `label` set to `name`; the medium scales with L."""
+    return config_from_mapping({"potential": name, "label": name}, **overrides)
 
 
 # -- output writers ---------------------------------------------------------
@@ -179,9 +182,9 @@ def _write_reconstruction(path: Union[str, Path], grid: Grid, p_true: np.ndarray
 
 def default_internal_lambda(lambdas: np.ndarray) -> float:
     """Midpoint of the middle pair of sample points: between, never on, samples."""
-    j = lambdas.size // 2 - 1 if lambdas.size > 1 else 0
     if lambdas.size == 1:
         return float(lambdas[0] * 0.5)
+    j = lambdas.size // 2 - 1
     return float(0.5 * (lambdas[j] + lambdas[j + 1]))
 
 

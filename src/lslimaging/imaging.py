@@ -16,7 +16,7 @@ from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, build_loewner, lanczos, lsl_fields
+from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
 from .transfer import DataSet
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -96,8 +96,7 @@ def solve_regularized(
     scipy's LAPACK links another OpenBLAS build, which measured slower at 2
     threads.
     """
-    if not (0.0 < rel_threshold < 1.0):
-        raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
+    _check_fraction("rel_threshold", rel_threshold)
     A, d = system.A, np.asarray(system.d, dtype=float)
     h, tau = np.linalg.qr(A.T, mode="raw")
     # row i of h holds reflector i below its unit head; contiguous rows make the loop fast

@@ -38,6 +38,11 @@ DEFAULT_TRUNCATION_TOL = 1e-14
 _INDEFINITE_RTOL = 1e-8
 
 
+def _check_fraction(name: str, value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class LoewnerPencil:
     """Data-driven stiffness S, mass M, and source vector b at the samples."""
@@ -128,8 +133,7 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     and DegenerateSourceError when b has no component in the retained
     subspace.
     """
-    if not (0.0 < truncation_tol < 1.0):
-        raise ValueError(f"truncation_tol must lie in (0, 1), got {truncation_tol}")
+    _check_fraction("truncation_tol", truncation_tol)
     m = pencil.m
     eigvals, U = np.linalg.eigh(pencil.M)
     lam_max = eigvals[-1]

@@ -27,6 +27,7 @@ from lslimaging.experiment import (
     PRESETS,
     config_from_mapping,
     default_internal_lambda,
+    load_config,
     parse_config_text,
     preset_config,
     preset_potential,
@@ -64,6 +65,27 @@ class TestConfigParsing:
         cfg = config_from_mapping({"f": "3", "n": "2001"}, f=5, methods="lsl")
         assert cfg.f == 5
         assert cfg.methods == ("lsl",)
+
+    def test_typed_overrides_are_taken_as_they_are(self, tmp_path):
+        cfg = config_from_mapping({"methods": "born"}, methods=("lsl",), internal_lambda=None,
+                                  L=2, outdir=tmp_path)
+        assert cfg.methods == ("lsl",) and cfg.internal_lambda is None
+        assert cfg.L == 2 and cfg.outdir == tmp_path
+
+    def test_unknown_keyword_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("potential = zero\n")
+        with pytest.raises(ValueError, match="unknown key 'nodes'"):
+            config_from_mapping({}, nodes=5)
+        with pytest.raises(ValueError, match="unknown key 'nodes'"):
+            load_config(path, nodes="5")
+        with pytest.raises(ValueError, match="unknown key 'gaussian_foo'"):
+            preset_config("gaussian", gaussian_foo=1.0)
+
+    @pytest.mark.parametrize("key, value", [("N", "0"), ("f", 2.5)])
+    def test_sampling_checked_by_weyl_sample(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+            config_from_mapping({}, **{key: value})
 
     def test_validation_happens_at_construction(self):
         with pytest.raises(ValueError):
@@ -260,9 +282,14 @@ class TestRunExperiment:
             run_experiment(config)
         assert solves == []
 
-    def test_default_internal_lambda_between_middle_samples(self):
-        lams = np.array([-9.0, -7.0, -4.0, -1.0])
-        assert default_internal_lambda(lams) == -5.5
+    @pytest.mark.parametrize("lams, expected", [
+        ([-4.0], -2.0),
+        ([-9.0, -1.0], -5.0),
+        ([-9.0, -7.0, -1.0], -8.0),
+        ([-9.0, -7.0, -4.0, -1.0], -5.5),
+    ], ids=["m1", "m2", "m3", "m4"])
+    def test_default_internal_lambda_between_middle_samples(self, lams, expected):
+        assert default_internal_lambda(np.array(lams)) == expected
 
 
 class TestCli:
@@ -318,6 +345,14 @@ class TestCli:
         for name in OUTPUT_FILES:
             assert (tmp_path / "run" / name).exists()
 
+    def test_experiment_methods_parsed_as_in_a_config_file(self, tmp_path):
+        code = main([
+            "experiment", "zero", "--methods", "lsl,", "--outdir", str(tmp_path / "run"),
+            "--f", str(FAST["f"]), "--intervals", str(FAST["N"]), "--nodes", str(FAST["n"]),
+        ])
+        assert code == 0
+        assert read_summary(tmp_path / "run" / "summary.txt")["methods"] == "lsl"
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         code = main([
             "reconstruct", "--data", str(tmp_path / "absent.txt"),
@@ -340,9 +375,10 @@ class TestCli:
         (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "internal-solution"),
         (["experiment", "zero", "--internal-lambda", "0", "--nodes", "401", "--intervals", "3",
           "--f", "3", "--outdir", "run"], "internal-solution"),
+        (["simulate", "--config", "true.cfg", "--set", "nodes=5", "--out", "o.txt"], "load-config"),
     ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
             "simulate-load-config", "simulate-write-output", "experiment-configure",
-            "experiment-nan-lambda", "experiment-resonance"])
+            "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key"])
     def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected):
         monkeypatch.chdir(tmp_path)
         self._write_config(tmp_path / "true.cfg", "gaussian")
