@@ -1,7 +1,7 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: six
-preset experiments, two `simulate` runs, both `reconstruct` methods and nine
+preset experiments, five `simulate` runs, both `reconstruct` methods and ten
 failure cases. Prints one sorted `sha256  name` line per output file, per
 stdout, and per stderr plus exit code. Paths in the outputs are relative to
 the temporary directory, so two trees give comparable lines:
@@ -21,6 +21,12 @@ import tempfile
 from pathlib import Path
 
 CONFIG = "potential = {}\nL = 1.0\nn = 2001\nN = 10\nf = 4\n"
+# config files written next to gaussian.cfg and bad.cfg: the medium keys of each kind
+CONFIGS = {
+    "step.cfg": CONFIG.format("step") + "step_pieces = 0.2:0.35:3;0.6:0.8:-1.5\n",
+    "gaussian-keys.cfg": CONFIG.format("gaussian")
+    + "gaussian_amplitude = 3.0\ngaussian_center = 0.4\ngaussian_width = 0.15\n",
+}
 
 # (name, arguments); each writes into the working directory
 RUNS = [
@@ -33,6 +39,10 @@ RUNS = [
     ("sim-true", ["simulate", "--config", "gaussian.cfg", "--out", "true.txt"]),
     ("sim-background", ["simulate", "--config", "gaussian.cfg", "--set", "potential=zero",
                         "--out", "background.txt"]),
+    ("sim-step-pieces", ["simulate", "--config", "step.cfg", "--out", "step-pieces.txt"]),
+    ("sim-gaussian-keys", ["simulate", "--config", "gaussian-keys.cfg", "--out", "gaussian-keys.txt"]),
+    ("sim-gaussian-keys-zero", ["simulate", "--config", "gaussian-keys.cfg", "--set", "potential=zero",
+                                "--out", "gaussian-keys-zero.txt"]),
     ("rec-born", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
                   "--method", "born", "--out", "rec-born.txt"]),
     ("rec-lsl", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
@@ -53,6 +63,7 @@ FAILURES = [
     ("fail-experiment-nan-lambda", ["experiment", "zero", "--internal-lambda", "nan", "--outdir", "o"]),
     ("fail-experiment-resonance", ["experiment", "zero", "--internal-lambda", "0", "--nodes", "401",
                                    "--intervals", "3", "--f", "3", "--outdir", "o"]),
+    ("fail-experiment-empty-methods", ["experiment", "zero", "--methods", "", "--outdir", "o"]),
 ]
 
 
@@ -69,6 +80,8 @@ def main() -> int:
         work = Path(tmp)
         (work / "gaussian.cfg").write_text(CONFIG.format("gaussian"))
         (work / "bad.cfg").write_text("no_such_key = 1\n")
+        for name, text in CONFIGS.items():
+            (work / name).write_text(text)
         for name, args in RUNS + FAILURES:
             proc = subprocess.run([sys.executable, "-m", "lslimaging.cli", *args],
                                   cwd=work, env=env, capture_output=True)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ExperimentError, stage
 from .experiment import (
-    _CONFIG_FIELDS,
+    _CONFIG_KEYS,
     PRESETS,
     ExperimentConfig,
     _write_reconstruction,
@@ -70,7 +70,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_experiment(args) -> int:
     with stage("configure"):
         # a flag left out is absent from args; the rest are text, parsed as in a config file
-        config = preset_config(args.preset, **{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+        config = preset_config(args.preset, **{k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
     paths = run_experiment(config)
     summary = read_summary(paths["summary"])
     for key in ("label", "m", "internal_lambda", "err_internal_background",

@@ -35,7 +35,11 @@ OUTPUT_FILES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs, validated up front."""
+    """Everything one experiment run needs, validated up front.
+
+    The one exception is internal_lambda: a non-finite value is accepted here
+    and rejected by run_experiment before any forward sweep.
+    """
 
     potential: Potential
     L: float = 1.0
@@ -54,6 +58,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.label:
             object.__setattr__(self, "label", self.potential.label)
+        if not self.methods:
+            raise ValueError(f"empty method list; choose from {METHODS}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
@@ -90,15 +96,20 @@ def _parse_internal_lambda(text: str) -> Optional[float]:
     return None if text.strip() in ("", "auto") else float(text)
 
 
-#: ExperimentConfig fields settable by config key, and their text parsers;
-#: a key that is absent keeps the dataclass default.
-_CONFIG_FIELDS = {
+def _parse_step_pieces(text: str) -> Tuple[Tuple[float, ...], ...]:
+    return tuple(tuple(float(tok) for tok in piece.split(":")) for piece in text.split(";"))
+
+
+#: Every config key and its text parser, in the order error messages list them.
+#: The ExperimentConfig fields among them keep the dataclass default when
+#: absent; `potential` and the keys after it describe the medium.
+_CONFIG_KEYS = {
     "L": float, "n": int, "N": int, "f": int, "methods": _parse_methods,
     "rel_threshold": float, "truncation_tol": float,
     "internal_lambda": _parse_internal_lambda, "outdir": Path, "label": str,
+    "potential": str, "gaussian_amplitude": float, "gaussian_center": float,
+    "gaussian_width": float, "step_pieces": _parse_step_pieces,
 }
-_CONFIG_KEYS = (*_CONFIG_FIELDS, "potential",
-                "gaussian_amplitude", "gaussian_center", "gaussian_width", "step_pieces")
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -121,34 +132,36 @@ def _check_key(key: str, where: str = "") -> None:
         raise ValueError(f"{where}unknown key {key!r} (valid: {', '.join(_CONFIG_KEYS)})")
 
 
-def _potential_from_mapping(mapping: Mapping[str, str], L: float) -> Potential:
-    """The preset medium of kind `potential` (default zero), with its keys applied."""
-    kind = mapping.get("potential", "zero")
+def _potential_from_values(values: Mapping[str, object], L: float) -> Potential:
+    """The preset medium of kind `potential` (default zero), with its parsed keys applied.
+
+    Keys that describe another kind of medium are ignored.
+    """
+    kind = values.get("potential", "zero")
     if kind not in PRESETS:
         raise ValueError(f"unknown potential kind {kind!r}")
     medium = preset_potential(kind, L)
     if kind == "gaussian":
         keys = {f.name: f"gaussian_{f.name}" for f in fields(medium)}
-        return replace(medium, **{name: float(mapping[key])
-                                  for name, key in keys.items() if key in mapping})
-    if kind == "step" and "step_pieces" in mapping:
-        return StepPotential(tuple(tuple(float(tok) for tok in piece.split(":"))
-                                   for piece in mapping["step_pieces"].split(";")))
+        return replace(medium, **{name: values[key] for name, key in keys.items() if key in values})
+    if kind == "step" and "step_pieces" in values:
+        return StepPotential(values["step_pieces"])
     return medium
 
 
-def config_from_mapping(mapping: Mapping[str, str], **overrides) -> ExperimentConfig:
+def config_from_mapping(mapping: Mapping[str, object], **overrides) -> ExperimentConfig:
     """Build an ExperimentConfig from config keys; an unknown key raises ValueError.
 
-    Overrides win; text field values are parsed as in a file, others taken as they are.
+    Overrides win; text values are parsed as in a file, others taken as they are.
     """
     merged = {**mapping, **overrides}
     for key in merged:
         _check_key(key)
     values = {key: parse(merged[key]) if isinstance(merged[key], str) else merged[key]
-              for key, parse in _CONFIG_FIELDS.items() if key in merged}
-    potential = _potential_from_mapping(merged, values.get("L", ExperimentConfig.L))
-    return ExperimentConfig(potential=potential, **values)
+              for key, parse in _CONFIG_KEYS.items() if key in merged}
+    values["potential"] = _potential_from_values(values, values.get("L", ExperimentConfig.L))
+    return ExperimentConfig(**{f.name: values[f.name]
+                               for f in fields(ExperimentConfig) if f.name in values})
 
 
 def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:

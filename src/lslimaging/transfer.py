@@ -6,6 +6,7 @@ discrete level, so one forward solve per sample point suffices.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
@@ -20,56 +21,70 @@ from .potentials import Potential
 _FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """One measurement record: (lambda, F(lambda), dF/dlambda(lambda))."""
+_FIELDS = ("lam", "F", "dF")
 
-    lam: float
-    F: float
-    dF: float
 
-    def __post_init__(self):
-        for name, v in (("lam", self.lam), ("F", self.F), ("dF", self.dF)):
+def _checked_rows(samples) -> np.ndarray:
+    """Rows (lam, F, dF) as one m x 3 float array; every entry finite, dF < 0, lam increasing."""
+    rows = np.array(samples, dtype=float, order="F")  # contiguous columns
+    if rows.size == 0:
+        raise ValueError("a dataset needs at least one sample")
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"samples must be rows (lam, F, dF), got shape {rows.shape}")
+    # dF/dlambda = -||u||^2 < 0 for real lambda off the spectrum
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (rows[:, 2] >= 0.0))
+    if bad.size:
+        row = rows[bad[0]].tolist()
+        for name, v in zip(_FIELDS, row):
             if not np.isfinite(v):
                 raise ValueError(f"sample field {name} must be finite, got {v}")
-        if self.dF >= 0.0:
-            # dF/dlambda = -||u||^2 < 0 for real lambda off the spectrum
-            raise ValueError(f"dF must be negative, got {self.dF} at lam={self.lam}")
+        raise ValueError(f"dF must be negative, got {row[2]} at lam={row[0]}")
+    if np.any(rows[1:, 0] <= rows[:-1, 0]):
+        raise ValueError("sample points must be strictly increasing and distinct")
+    return rows
 
 
-@dataclass(frozen=True)
+class SpectralSample(namedtuple("SpectralSample", _FIELDS)):
+    """One measurement record: (lambda, F(lambda), dF/dlambda(lambda)), checked as a DataSet row."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: float, F: float, dF: float):
+        return super().__new__(cls, *_checked_rows([(lam, F, dF)])[0].tolist())
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DataSet:
-    """Ordered transfer-function samples measured on one medium."""
+    """Ordered transfer-function samples measured on one medium.
+
+    Built from rows (lam, F, dF), given as SpectralSample records or as an
+    m x 3 array, and checked once as a whole. The columns lambdas, F and dF
+    are stored as read-only arrays.
+    """
 
     L: float
-    samples: Tuple[SpectralSample, ...]
+    lambdas: np.ndarray
+    F: np.ndarray
+    dF: np.ndarray
     label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"domain length must be positive, got {self.L}")
-        if len(self.samples) < 1:
-            raise ValueError("a dataset needs at least one sample")
-        lams = [s.lam for s in self.samples]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("sample points must be strictly increasing and distinct")
+    def __init__(self, L: float, samples: Union[Sequence[SpectralSample], np.ndarray], label: str = ""):
+        if not (np.isfinite(L) and L > 0):
+            raise ValueError(f"domain length must be positive, got {L}")
+        rows = _checked_rows(samples)
+        rows.flags.writeable = False
+        for name, value in (("L", L), ("label", label), *zip(("lambdas", "F", "dF"), rows.T)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return self.lambdas.size
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([s.lam for s in self.samples])
-
-    @property
-    def F(self) -> np.ndarray:
-        return np.array([s.F for s in self.samples])
-
-    @property
-    def dF(self) -> np.ndarray:
-        return np.array([s.dF for s in self.samples])
+    def samples(self) -> Tuple[SpectralSample, ...]:
+        """The rows as records; they were checked when the dataset was built."""
+        rows = zip(self.lambdas.tolist(), self.F.tolist(), self.dF.tolist())
+        return tuple(map(SpectralSample._make, rows))
 
 
 def measure_transfer(snapshot: Snapshot, grid: Grid) -> float:
@@ -96,8 +111,7 @@ def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
     """
     Vt = np.ascontiguousarray(V.V.T)
     dF = -(V.grid.weights * Vt * Vt).sum(axis=1)
-    samples = [SpectralSample(*row) for row in zip(V.lambdas.tolist(), Vt[:, 0].tolist(), dF.tolist())]
-    return DataSet(L=V.grid.L, samples=tuple(samples), label=label)
+    return DataSet(L=V.grid.L, samples=np.column_stack((V.lambdas, Vt[:, 0], dF)), label=label)
 
 
 def generate_dataset(
@@ -136,23 +150,25 @@ def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarra
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:
-    """Read a dataset written by save_dataset."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    """Read a dataset written by save_dataset; a malformed row is named by its line."""
+    lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")
-    header = lines[0][1:].strip()
+    header = lines[0][1][1:].lstrip()  # the label runs to the end of the line
     if "label=" not in header or not header.startswith("L="):
         raise ValueError(f"{path}: malformed header {header!r}")
     meta, label = header.split("label=", 1)
     fields = dict(tok.split("=", 1) for tok in meta.split())
     L = float(fields["L"])
-    samples = []
-    for ln in lines[1:]:
-        lam, F, dF = (float(tok) for tok in ln.split())
-        samples.append(SpectralSample(lam=lam, F=F, dF=dF))
-    if "m" in fields and int(fields["m"]) != len(samples):
+    rows = []
+    for lineno, ln in lines[1:]:
+        row = ln.split()
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 3 numbers 'lambda F dF', got {ln.strip()!r}")
+        rows.append(row)
+    if "m" in fields and int(fields["m"]) != len(rows):
         raise ValueError(
-            f"{path}: header declares m={fields['m']} but found {len(samples)} rows"
+            f"{path}: header declares m={fields['m']} but found {len(rows)} rows"
         )
-    return DataSet(L=L, samples=tuple(samples), label=label)
+    # the text rows go to DataSet's float conversion, which parses as float() does
+    return DataSet(L=L, samples=rows, label=label)

@@ -87,6 +87,24 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
             config_from_mapping({}, **{key: value})
 
+    def test_empty_method_list_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"empty method list; choose from \('born', 'lsl'\)"):
+            config_from_mapping({"methods": ""})
+        path = tmp_path / "c.cfg"
+        path.write_text("potential = zero\nmethods =\n")
+        with pytest.raises(ValueError, match="empty method list"):
+            load_config(path)
+
+    def test_typed_medium_keys_are_taken_as_they_are(self):
+        cfg = config_from_mapping({"potential": "step"}, step_pieces=((0.1, 0.3, 2.0),))
+        assert cfg.potential == StepPotential(((0.1, 0.3, 2.0),))
+        cfg = config_from_mapping({"potential": "gaussian", "gaussian_width": "0.2"}, gaussian_amplitude=3.0)
+        assert cfg.potential == GaussianPotential(3.0, 0.5, 0.2)
+
+    def test_keys_of_another_medium_are_ignored(self):
+        cfg = config_from_mapping({"potential": "zero", "gaussian_width": "0.2", "step_pieces": "0:1:2"})
+        assert cfg.potential == ZeroPotential()
+
     def test_validation_happens_at_construction(self):
         with pytest.raises(ValueError):
             config_from_mapping({"rel_threshold": "2.0"})
@@ -376,9 +394,12 @@ class TestCli:
         (["experiment", "zero", "--internal-lambda", "0", "--nodes", "401", "--intervals", "3",
           "--f", "3", "--outdir", "run"], "internal-solution"),
         (["simulate", "--config", "true.cfg", "--set", "nodes=5", "--out", "o.txt"], "load-config"),
+        (["experiment", "zero", "--methods", "", "--outdir", "run"], "configure"),
+        (["simulate", "--config", "true.cfg", "--set", "methods=", "--out", "o.txt"], "load-config"),
     ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
             "simulate-load-config", "simulate-write-output", "experiment-configure",
-            "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key"])
+            "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key",
+            "experiment-empty-methods", "simulate-empty-methods"])
     def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected):
         monkeypatch.chdir(tmp_path)
         self._write_config(tmp_path / "true.cfg", "gaussian")

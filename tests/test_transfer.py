@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lslimaging import (
@@ -157,6 +158,117 @@ class TestValidation:
             DataSet(L=1.0, samples=())
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dataset_rows(draw):
+    """m x 3 rows (lam, F, dF) of a valid dataset: lam increasing, every entry finite, dF < 0."""
+    lams = sorted(draw(st.lists(finite, min_size=1, max_size=12, unique=True)))
+    F = draw(st.lists(finite, min_size=len(lams), max_size=len(lams)))
+    dF = draw(st.lists(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+                       min_size=len(lams), max_size=len(lams)))
+    return np.column_stack((lams, F, dF))
+
+
+ROW_SETTINGS = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+
+
+def _first_fault_one_row_at_a_time(rows):
+    """Reference: the message of the first faulty row, fields in order, then the order check."""
+    for lam, F, dF in rows.tolist():
+        for name, v in (("lam", lam), ("F", F), ("dF", dF)):
+            if not math.isfinite(v):
+                return f"sample field {name} must be finite, got {v}"
+        if dF >= 0.0:
+            return f"dF must be negative, got {dF} at lam={lam}"
+    return "sample points must be strictly increasing and distinct"
+
+
+def _raised(build):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    return str(excinfo.value)
+
+
+class TestDataSetRows:
+    @ROW_SETTINGS
+    @given(dataset_rows())
+    def test_records_and_array_give_the_same_dataset(self, rows):
+        records = [SpectralSample(*row) for row in rows.tolist()]
+        from_records = DataSet(L=1.0, samples=records, label="r")
+        from_array = DataSet(L=1.0, samples=rows, label="r")
+        for name in ("lambdas", "F", "dF"):
+            assert np.array_equal(getattr(from_records, name), getattr(from_array, name))
+            assert np.array_equal(getattr(from_array, name), rows[:, ("lambdas", "F", "dF").index(name)])
+        assert from_records.samples == from_array.samples == tuple(records)
+        assert from_array.m == rows.shape[0]
+
+    @ROW_SETTINGS
+    @given(dataset_rows(), st.data())
+    def test_both_routes_reject_a_bad_row_alike(self, rows, data):
+        if rows.shape[0] == 1:
+            rows = np.vstack((rows, rows - [0.0, 0.0, 1.0]))
+            rows[1, 0] = np.nextafter(rows[0, 0], np.inf)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, rows.shape[0] - 1))
+            fault = data.draw(st.sampled_from(["nan", "inf", "dF", "order"]))
+            if fault in ("nan", "inf"):
+                rows[i, data.draw(st.integers(0, 2))] = np.nan if fault == "nan" else -np.inf
+            elif fault == "dF":
+                rows[i, 2] = data.draw(st.floats(min_value=0.0, allow_infinity=False))
+            else:
+                rows[i, 0] = rows[i - 1, 0]
+        array_message = _raised(lambda: DataSet(L=1.0, samples=rows))
+        record_message = _raised(lambda: DataSet(L=1.0, samples=[SpectralSample(*r) for r in rows.tolist()]))
+        assert array_message == record_message == _first_fault_one_row_at_a_time(rows)
+
+    @ROW_SETTINGS
+    @given(dataset_rows(), st.floats(min_value=1e-300, max_value=1e300),
+           st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S", "Zs"))))
+    @example(rows=np.array([[-1.0, 0.3, -0.1]]), L=1.0, label=" a b ")
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, rows, L, label):
+        tmp_path = tmp_path_factory.mktemp("roundtrip")
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_dataset(DataSet(L=L, samples=rows, label=label), first)
+        loaded = load_dataset(first)
+        save_dataset(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.L == L and loaded.label == label
+        assert np.array_equal(np.column_stack((loaded.lambdas, loaded.F, loaded.dF)), rows)
+
+    def test_columns_are_stored_and_read_only(self, g):
+        data = generate_dataset(ZeroPotential(), [-5.0, -2.0], g)
+        for name in ("lambdas", "F", "dF"):
+            column = getattr(data, name)
+            assert column is getattr(data, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_array_rows_are_copied(self, order):
+        rows = np.array([[-2.0, 0.5, -0.1], [-1.0, 0.4, -0.2]], order=order)
+        data = DataSet(L=1.0, samples=rows)
+        rows[0, 1] = 7.0
+        assert data.F[0] == 0.5
+
+    def test_rows_must_have_three_columns(self):
+        with pytest.raises(ValueError, match=r"rows \(lam, F, dF\), got shape \(2, 2\)"):
+            DataSet(L=1.0, samples=np.ones((2, 2)))
+
+    def test_measure_and_load_build_no_records(self, g, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SpectralSample was built")
+
+        path = tmp_path / "data.txt"
+        save_dataset(generate_dataset(ZeroPotential(), [-5.0, -2.0], g), path)
+        monkeypatch.setattr(SpectralSample, "__new__", refuse)
+        monkeypatch.setattr(SpectralSample, "_make", refuse)
+        V = compute_snapshot_matrix(ZeroPotential(), [-5.0, -2.0], g)
+        assert measure_dataset(V, "bg").m == 2
+        assert load_dataset(path).m == 2
+
+
 class TestFileFormat:
     def test_roundtrip_is_exact_and_stable(self, g, tmp_path):
         data = generate_dataset(
@@ -191,4 +303,11 @@ class TestFileFormat:
             load_dataset(bad)
         bad.write_text("# L=1 m=3 label=x\n-5.0 0.3 -0.1\n")
         with pytest.raises(ValueError):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("row", ["-5.0 0.3", "-5.0 0.3 -0.1 2.0"])
+    def test_row_without_three_numbers_names_file_and_line(self, tmp_path, row):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# L=1 m=2 label=x\n-6.0 0.2 -0.1\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.txt: line 4: expected 3 numbers 'lambda F dF', got '{row}'"):
             load_dataset(bad)
