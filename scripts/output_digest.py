@@ -1,7 +1,7 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: six
-preset experiments, five `simulate` runs, both `reconstruct` methods and ten
+preset experiments, six `simulate` runs, both `reconstruct` methods and ten
 failure cases. Prints one sorted `sha256  name` line per output file, per
 stdout, and per stderr plus exit code. Paths in the outputs are relative to
 the temporary directory, so two trees give comparable lines:
@@ -26,6 +26,8 @@ CONFIGS = {
     "step.cfg": CONFIG.format("step") + "step_pieces = 0.2:0.35:3;0.6:0.8:-1.5\n",
     "gaussian-keys.cfg": CONFIG.format("gaussian")
     + "gaussian_amplitude = 3.0\ngaussian_center = 0.4\ngaussian_width = 0.15\n",
+    # wider than the resonance gaps, so no sample is cleared without a Sturm count
+    "gaussian-strong.cfg": CONFIG.format("gaussian") + "gaussian_amplitude = 400\n",
 }
 
 # (name, arguments); each writes into the working directory
@@ -43,6 +45,7 @@ RUNS = [
     ("sim-gaussian-keys", ["simulate", "--config", "gaussian-keys.cfg", "--out", "gaussian-keys.txt"]),
     ("sim-gaussian-keys-zero", ["simulate", "--config", "gaussian-keys.cfg", "--set", "potential=zero",
                                 "--out", "gaussian-keys-zero.txt"]),
+    ("sim-gaussian-strong", ["simulate", "--config", "gaussian-strong.cfg", "--out", "gaussian-strong.txt"]),
     ("rec-born", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
                   "--method", "born", "--out", "rec-born.txt"]),
     ("rec-lsl", ["reconstruct", "--data", "true.txt", "--background", "background.txt",

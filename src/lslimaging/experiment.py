@@ -21,7 +21,7 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
-from .transfer import _FMT, _write_rows, generate_dataset, measure_dataset, save_dataset
+from .transfer import _FMT, _check_label, _write_rows, generate_dataset, measure_dataset, save_dataset
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -58,6 +58,7 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.label:
             object.__setattr__(self, "label", self.potential.label)
+        _check_label(self.label)
         if not self.methods:
             raise ValueError(f"empty method list; choose from {METHODS}")
         for meth in self.methods:

@@ -10,6 +10,7 @@ collocation scheme. The delta source at the boundary node has strength
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,21 +70,38 @@ class TridiagonalOperator:
 
     @cached_property
     def _pencil(self):
-        """(dw, bd, be, bound), computed once per operator.
+        """(dw, bd, be, bound, mu, lo, hi), computed once per operator.
 
         dw is the pencil's mass D = weights/h, which is [1/2, 1, ..., 1, 1/2]
         exactly on every grid (the boundary-row scaling of `diag`); bd and be
-        are the diagonals of D^-1/2 A D^-1/2, whose eigenvalues are the
+        are the diagonals of B = D^-1/2 A D^-1/2, whose eigenvalues are the
         operator's; bound >= ||A|| scales the Sturm slack.
+
+        mu (a sorted list), lo and hi enclose the eigenvalues: the k-th
+        smallest lies in [mu_k + lo, mu_k + hi]. With c the midpoint of
+        `off`'s range (the grid's -1/h^2 for an assembled operator),
+        B = B_c + diag(q) + E, where B_c is the zero-potential Neumann matrix
+        with off-diagonal c, q = bd + 2c is the potential, and E holds the
+        off-diagonal's deviation from B_c's (zero when `off` is constant).
+        B_c's eigenvalues are, sorted, mu_k = -4c sin^2(k pi / (2(n-1))), the
+        closed form of operator_eigenvalues. Weyl's inequality then gives
+        lo = min q - delta and hi = max q + delta with delta = 2 max|E|
+        (>= ||E||) plus _STURM_SLACK * bound, which also covers the roundoff
+        in bd, be, mu and q and the error of the computed eigenvalues.
         """
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
             raise ValueError("operator entries must be finite")
         dw = np.ones(self.n)
         dw[0] = dw[-1] = 0.5
+        root = np.sqrt(dw[:-1] * dw[1:])
         bd = self.diag / dw
-        be = self.off / np.sqrt(dw[:-1] * dw[1:])
+        be = self.off / root
         bound = np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.off))
-        return dw, bd, be, bound
+        c = 0.5 * (np.min(self.off) + np.max(self.off))
+        mu = sorted((-4.0 * c * np.sin(np.arange(self.n) * (np.pi / (2 * (self.n - 1)))) ** 2).tolist())
+        q = bd + 2.0 * c
+        delta = 2.0 * np.max(np.abs(be - c / root)) + _STURM_SLACK * bound
+        return dw, bd, be, bound, mu, np.min(q) - delta, np.max(q) + delta
 
 
 def assemble_operator(p: Potential, grid: Grid) -> TridiagonalOperator:
@@ -115,7 +133,7 @@ def operator_eigenvalues(op: TridiagonalOperator, grid: Grid) -> np.ndarray:
     values are bitwise its.
     """
     _check_size(op, grid)
-    _, bd, be, _ = op._pencil
+    _, bd, be, *_ = op._pencil
     w, _, info = _STEVD(bd, be, compute_v=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"stevd failed (LAPACK info={info})")
@@ -143,30 +161,39 @@ def resolvent_apply(
 
     The route, per call, runs LAPACK routines from scipy's compiled f2py
     wrappers, loaded without scipy.linalg's package initialization (see
-    `_lapack`). stebz counts the eigenvalues in
-    [-lambda - reach, -lambda + reach] by bisection (a Sturm count; reach is
-    the tolerance plus _STURM_SLACK * ||A||); only on a hit is the full
-    spectrum computed (operator_eigenvalues) to measure the distance. gtsv
-    then solves the tridiagonal system: the routines and inputs of
-    eigvalsh_tridiagonal and solve_banded, so the solution is bitwise theirs.
-    The D-scaled diagonals and the ||A|| bound are computed once per operator.
+    `_lapack`). The guard looks at the window [-lambda - reach,
+    -lambda + reach], reach being the tolerance plus _STURM_SLACK * ||A||.
+    When the window meets one of the operator's eigenvalue enclosure
+    intervals (see TridiagonalOperator._pencil; one binary search in the
+    sorted mu), stebz counts the eigenvalues in it by bisection (a Sturm
+    count), and only on a hit is the full spectrum computed
+    (operator_eigenvalues) to measure the distance. When it meets none,
+    every computed eigenvalue is more than reach from -lambda, so the count
+    could not have led to a raise and is skipped: the result is the same
+    solve either way. gtsv then solves the tridiagonal system: the routines
+    and inputs of eigvalsh_tridiagonal and solve_banded, so the solution is
+    bitwise theirs. The D-scaled diagonals, the ||A|| bound and the
+    enclosure are computed once per operator.
     """
     if not np.isfinite(lam):
         raise ValueError(f"spectral parameter must be finite, got {lam}")
     _check_size(op, grid)
-    dw, bd, be, bound = op._pencil
+    dw, bd, be, bound, mu, lo, hi = op._pencil
     rhs = dw * source
     if rhs.shape != (op.n,) or not np.all(np.isfinite(rhs)):
         raise ValueError(f"source must be {op.n} finite values")
     tol = RESONANCE_RTOL * max(1.0, abs(lam))
     reach = tol + _STURM_SLACK * bound
-    hits, _, _, _, info = _STEBZ(bd, be, 1, -lam - reach, -lam + reach, 1, 1, 0.0, "E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
-    if hits:
-        distance = float(np.min(np.abs(lam + operator_eigenvalues(op, grid))))
-        if distance < tol:
-            raise ResonanceProximityError(lam, distance)
+    # the lowest enclosure interval that ends at or above the window's low end
+    k = bisect.bisect_left(mu, -lam - reach - hi)
+    if k < op.n and mu[k] + lo <= -lam + reach:
+        hits, _, _, _, info = _STEBZ(bd, be, 1, -lam - reach, -lam + reach, 1, 1, 0.0, "E")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
+        if hits:
+            distance = float(np.min(np.abs(lam + operator_eigenvalues(op, grid))))
+            if distance < tol:
+                raise ResonanceProximityError(lam, distance)
     # op.off is passed twice and copied by the wrapper: gtsv overwrites dl and du
     _, _, _, u, info = _GTSV(op.off, op.diag + lam * dw, op.off, rhs, 0, 1, 0, 1)
     if info != 0:
@@ -181,9 +208,14 @@ def solve_forward(p: Potential, lam: float, grid: Grid) -> Snapshot:
 
 def solve_forward_operator(op: TridiagonalOperator, lam: float, grid: Grid) -> Snapshot:
     """Like solve_forward, reusing an already-assembled operator."""
+    return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, _boundary_source(grid)))
+
+
+def _boundary_source(grid: Grid) -> np.ndarray:
+    """The delta at x = 0, of strength 1/(h/2), as pointwise values."""
     source = np.zeros(grid.n)
     source[0] = 2.0 / grid.h
-    return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, source))
+    return source
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +247,10 @@ def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix
         raise ValueError("sample points must be pairwise distinct")
     lams = np.sort(lams)
     op = assemble_operator(p, grid)
+    source = _boundary_source(grid)
     V = np.empty((grid.n, lams.size))
     for j, lam in enumerate(lams):
-        V[:, j] = solve_forward_operator(op, lam, grid).values
+        V[:, j] = resolvent_apply(op, grid, lam, source)
     return SnapshotMatrix(V=V, grid=grid, lambdas=lams)
 
 

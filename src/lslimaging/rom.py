@@ -63,7 +63,11 @@ class LanczosFactors:
 
     Invariants: Q^T M Q = I_k and Q^T S Q = T (k x k tridiagonal with
     strictly positive off-diagonals); normfactor = sqrt(b^T M^+ b) with the
-    first basis vector a positive multiple of M^+ b.
+    first basis vector a positive multiple of M^+ b. They hold to roundoff of
+    about eps * kappa, kappa = lambda_max(M) / the smallest retained
+    eigenvalue of M, since Q scales the retained eigenvectors by
+    1/sqrt(eigenvalue): max|Q^T M Q - I_k| reached 0.025 on drawn Gaussian
+    media at f >= 2 with the default truncation_tol (4e-13 at f = 1).
     """
 
     T: np.ndarray

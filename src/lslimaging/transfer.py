@@ -44,6 +44,12 @@ def _checked_rows(samples) -> np.ndarray:
     return rows
 
 
+def _check_label(label: str) -> None:
+    """Reject a label that is not text or that str.splitlines would split: a dataset file keeps it on its header line."""
+    if not isinstance(label, str) or "".join(label.splitlines()) != label:
+        raise ValueError(f"label must be one line of text, got {label!r}")
+
+
 class SpectralSample(namedtuple("SpectralSample", _FIELDS)):
     """One measurement record: (lambda, F(lambda), dF/dlambda(lambda)), checked as a DataSet row."""
 
@@ -59,7 +65,8 @@ class DataSet:
 
     Built from rows (lam, F, dF), given as SpectralSample records or as an
     m x 3 array, and checked once as a whole. The columns lambdas, F and dF
-    are stored as read-only arrays.
+    are stored as read-only arrays. The label must be one line, since the
+    file format keeps it on the header line.
     """
 
     L: float
@@ -71,6 +78,7 @@ class DataSet:
     def __init__(self, L: float, samples: Union[Sequence[SpectralSample], np.ndarray], label: str = ""):
         if not (np.isfinite(L) and L > 0):
             raise ValueError(f"domain length must be positive, got {L}")
+        _check_label(label)
         rows = _checked_rows(samples)
         rows.flags.writeable = False
         for name, value in (("L", L), ("label", label), *zip(("lambdas", "F", "dF"), rows.T)):

@@ -8,8 +8,10 @@ closed forms, and eigenvalue references come from dense solvers.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
-from lslimaging import Grid, Potential
+from lslimaging import RESONANCE_RTOL, Grid, Potential, ResonanceProximityError, TridiagonalOperator
+from lslimaging.forward import _STURM_SLACK
 
 
 def thomas_solve_longdouble(diag, lower, upper, rhs):
@@ -83,3 +85,30 @@ def background_field_closed_form(lam: float, grid: Grid) -> np.ndarray:
 def neumann_laplacian_eigenvalues(L: float, count: int) -> np.ndarray:
     """Continuum Neumann eigenvalues (k pi / L)^2, k = 0..count-1."""
     return (np.arange(count) * np.pi / L) ** 2
+
+
+def resolvent_apply_always_counted(op: TridiagonalOperator, grid: Grid, lam: float, source) -> np.ndarray:
+    """The shifted solve with its resonance guard run for every lambda.
+
+    The guard without an eigenvalue enclosure: stebz always counts the
+    eigenvalues within RESONANCE_RTOL * max(1, |lam|) + _STURM_SLACK * ||A||
+    of -lam, and on a hit the full spectrum (stevd) decides whether to raise.
+    The D-scaled diagonals are rebuilt here from the grid's weights, and the
+    routines are scipy.linalg.lapack's, so a solve it lets through is the
+    gtsv solution resolvent_apply must return bit for bit.
+    """
+    dw = grid.weights / grid.h
+    bd = op.diag / dw
+    be = op.off / np.sqrt(dw[:-1] * dw[1:])
+    bound = np.max(np.abs(op.diag)) + 2.0 * np.max(np.abs(op.off))
+    tol = RESONANCE_RTOL * max(1.0, abs(lam))
+    reach = tol + _STURM_SLACK * bound
+    hits, _, _, _, info = lapack.dstebz(bd, be, 1, -lam - reach, -lam + reach, 1, 1, 0.0, "E")
+    assert info == 0
+    if hits:
+        distance = float(np.min(np.abs(lam + lapack.dstevd(bd, be, compute_v=0)[0])))
+        if distance < tol:
+            raise ResonanceProximityError(lam, distance)
+    _, _, _, u, info = lapack.dgtsv(op.off, op.diag + lam * dw, op.off, dw * source)
+    assert info == 0
+    return u

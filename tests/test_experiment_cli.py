@@ -95,6 +95,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="empty method list"):
             load_config(path)
 
+    @pytest.mark.parametrize("label", ["a\nb", "a\x1cb", "a\u2028b"])
+    def test_label_with_a_line_break_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be one line"):
+            ExperimentConfig(potential=ZeroPotential(), label=label)
+        with pytest.raises(ValueError, match="label must be one line"):
+            config_from_mapping({"potential": "zero"}, label=label)
+
     def test_typed_medium_keys_are_taken_as_they_are(self):
         cfg = config_from_mapping({"potential": "step"}, step_pieces=((0.1, 0.3, 2.0),))
         assert cfg.potential == StepPotential(((0.1, 0.3, 2.0),))

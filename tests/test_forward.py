@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lslimaging.forward
 import oracles
 from lslimaging import (
     GaussianPotential,
@@ -231,6 +232,42 @@ class TestResolventApply:
         diag, off = op.diag.copy(), op.off.copy()
         resolvent_apply(op, g, -3.0, np.ones(g.n))
         assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
+
+
+class TestSturmCountOnlyWhenUndecided:
+    @pytest.fixture
+    def stebz_calls(self, monkeypatch):
+        calls = []
+        stebz = lslimaging.forward._STEBZ
+
+        def counting(*args):
+            calls.append(args)
+            return stebz(*args)
+
+        monkeypatch.setattr(lslimaging.forward, "_STEBZ", counting)
+        return calls
+
+    def test_zero_potential_sweep_counts_nothing(self, stebz_calls):
+        compute_snapshot_matrix(ZeroPotential(), weyl_sample(10, 4, 1.0).lambdas, Grid(L=1.0, n=2001))
+        assert stebz_calls == []
+
+    def test_strong_gaussian_counts_every_sample(self, stebz_calls):
+        # the medium's range, 400, exceeds every resonance gap of the plan
+        lams = weyl_sample(10, 4, 1.0).lambdas
+        compute_snapshot_matrix(GaussianPotential(400.0, 0.5, 0.1), lams, Grid(L=1.0, n=2001))
+        assert len(stebz_calls) == lams.size
+
+    def test_perturbed_off_diagonal_still_raises_at_its_eigenvalue(self, stebz_calls):
+        g = Grid(L=1.0, n=401)
+        op = assemble_operator(GaussianPotential(5.0, 0.5, 0.1), g)
+        off = op.off * (1.0 + 1e-3 * np.random.default_rng(3).standard_normal(op.off.size))
+        perturbed = TridiagonalOperator(diag=op.diag, off=off)
+        ev = operator_eigenvalues(perturbed, g)
+        for k in (0, 1, 7, 200, g.n - 1):
+            with pytest.raises(ResonanceProximityError) as excinfo:
+                resolvent_apply(perturbed, g, -ev[k], np.ones(g.n))
+            assert excinfo.value.distance == 0.0
+        assert len(stebz_calls) == 5
 
 
 class TestSnapshotMatrix:

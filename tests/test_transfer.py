@@ -1,5 +1,6 @@
 """Transfer data: measurement, the resolvent-identity derivative, file format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,19 @@ class TestFileFormat:
         bad.write_text("# L=1 m=3 label=x\n-5.0 0.3 -0.1\n")
         with pytest.raises(ValueError):
             load_dataset(bad)
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
+                                       "a\x85b", "a\u2028b", "a\u2029b", "a\n"])
+    def test_label_with_a_line_break_rejected(self, label):
+        with pytest.raises(ValueError, match=f"label must be one line of text, got {re.escape(repr(label))}"):
+            DataSet(L=1.0, samples=[[-1.0, 0.3, -0.1]], label=label)
+        with pytest.raises(ValueError, match="label must be one line"):
+            generate_dataset(ZeroPotential(), [-5.0], Grid(1.0, 11), label=label)
+
+    @pytest.mark.parametrize("label", [None, 5, b"a"])
+    def test_label_must_be_text(self, label):
+        with pytest.raises(ValueError, match=f"label must be one line of text, got {re.escape(repr(label))}"):
+            DataSet(L=1.0, samples=[[-1.0, 0.3, -0.1]], label=label)
 
     @pytest.mark.parametrize("row", ["-5.0 0.3", "-5.0 0.3 -0.1 2.0"])
     def test_row_without_three_numbers_names_file_and_line(self, tmp_path, row):
