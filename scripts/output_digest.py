@@ -2,9 +2,13 @@
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: six
 preset experiments, six `simulate` runs, both `reconstruct` methods and ten
-failure cases. Prints one sorted `sha256  name` line per output file, per
-stdout, and per stderr plus exit code. Paths in the outputs are relative to
-the temporary directory, so two trees give comparable lines:
+failure cases. Then, in this process, it runs the gaussian and the step
+preset back to back on one sampling plan and keeps the second run's files
+(`inproc-step/`): the step run reuses the background model the gaussian run
+cached, so its files must hash as `exp-step/`'s do. Prints one sorted
+`sha256  name` line per output file, per stdout, and per stderr plus exit
+code. Paths in the outputs are relative to the temporary directory, so two
+trees give comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 
@@ -94,6 +98,11 @@ def main() -> int:
                 sys.stderr.write(f"{name} failed:\n{proc.stderr.decode()}")
                 return 1
             lines.append(f"{_sha(proc.stdout)}  {name}:stdout")
+        from lslimaging import preset_config, run_experiment
+
+        with tempfile.TemporaryDirectory() as first:
+            run_experiment(preset_config("gaussian", outdir=first))
+        run_experiment(preset_config("step", outdir=work / "inproc-step"))
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":
                 lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")

@@ -8,7 +8,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import stage
-from .forward import compute_snapshot_matrix, solve_forward
+from .forward import solve_forward
 from .grid import Grid
 from .imaging import (
     DEFAULT_GRID_NODES,
@@ -19,9 +19,9 @@ from .imaging import (
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, _background, _check_fraction, lsl_internal
 from .sampling import weyl_sample
-from .transfer import _FMT, _check_label, _write_rows, generate_dataset, measure_dataset, save_dataset
+from .transfer import _FMT, _check_label, _write_rows, generate_dataset, save_dataset
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -212,6 +212,11 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     Columns of methods that were not requested are filled with nan.
     Raises ExperimentError naming the failing stage; a non-finite
     internal_lambda fails its stage before any forward sweep runs.
+
+    The background comes from the background model the process keeps for
+    one sampling plan (see reconstruct), whose key leaves out the medium: a
+    run after the first with the same L, n, N and f sweeps only the true
+    medium, and writes the same bytes as a cold run.
     """
     lam = config.internal_lambda
     with stage("internal-solution"):
@@ -226,8 +231,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         data = generate_dataset(config.potential, plan.lambdas, grid,
                                 label=f"{config.label}-true")
     with stage("simulate-background"):
-        V0 = compute_snapshot_matrix(ZeroPotential(), plan.lambdas, grid)
-        data0 = measure_dataset(V0, label=f"{config.label}-background")
+        background = _background(grid, plan.lambdas)
+        data0 = background.dataset(f"{config.label}-background")
 
     results: Dict[str, ReconstructionResult] = {}
     for method in config.methods:
@@ -235,14 +240,14 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             results[method] = reconstruct(
                 data, data0, method, grid=grid,
                 rel_threshold=config.rel_threshold,
-                truncation_tol=config.truncation_tol, background=V0,
+                truncation_tol=config.truncation_tol,
             )
 
     with stage("internal-solution"):
         lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
         u_true = solve_forward(config.potential, lam_star, grid).values
         u_bg = solve_forward(ZeroPotential(), lam_star, grid).values
-        u_lsl = (lsl_internal(V0, *results["lsl"].factors, lam_star).values
+        u_lsl = (lsl_internal(background.V0, *results["lsl"].factors, lam_star).values
                  if "lsl" in results else np.full(grid.n, np.nan))
 
     with stage("write-outputs"):

@@ -13,10 +13,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateSystemError, SampleAlignmentError
-from .forward import SnapshotMatrix, compute_snapshot_matrix
+from .forward import SnapshotMatrix
 from .grid import Grid
-from .potentials import ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
+from .rom import _background, _read_only
 from .transfer import DataSet
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -94,21 +94,32 @@ def solve_regularized(
     systems are), and Q applied to a short vector through its reflectors, so
     the long orthogonal factor of A's SVD is never formed. All in numpy;
     scipy's LAPACK links another OpenBLAS build, which measured slower at 2
-    threads.
+    threads. It is a factor step (_factor), which depends on A alone, then a
+    solve step (_solve) for d.
     """
     _check_fraction("rel_threshold", rel_threshold)
-    A, d = system.A, np.asarray(system.d, dtype=float)
+    return _solve(system, _factor(system.A), rel_threshold)
+
+
+def _factor(A: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(h, tau, U, s, Vt): the raw Householder QR of A^T = Q R, then R = U diag(s) Vt."""
     h, tau = np.linalg.qr(A.T, mode="raw")
     # row i of h holds reflector i below its unit head; contiguous rows make the loop fast
     h = np.ascontiguousarray(h)
-    k = tau.size
-    U, s, Vt = np.linalg.svd(np.triu(h[:, :k].T), full_matrices=False)
+    U, s, Vt = np.linalg.svd(np.triu(h[:, :tau.size].T), full_matrices=False)
+    return h, tau, U, s, Vt
+
+
+def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold: float) -> ReconstructionResult:
+    """The TSVD solution of `system` from the _factor of its A."""
+    h, tau, U, s, Vt = factors
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateSystemError("imaging system matrix is identically zero")
+    A, d = system.A, np.asarray(system.d, dtype=float)
     keep = s >= rel_threshold * s[0]
     # A^T = Q U diag(s) Vt, so p = Q U diag(1/s) Vt d
     p_est = np.zeros(A.shape[1])
-    p_est[:k] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
+    p_est[:tau.size] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
     _reflect(h, tau, p_est)
     residual = float(np.linalg.norm(A @ p_est - system.d))
     return ReconstructionResult(
@@ -149,25 +160,42 @@ def reconstruct(
     method "born" uses the background field itself as the internal-field
     stand-in; method "lsl" builds the data-driven reduced models of both
     media and estimates the true internal fields from the measured data.
-    Only boundary data of the unknown medium is ever used. `background`, the
-    zero-potential snapshots on the grid at the sample points, is computed
-    when not given; callers that run both methods can pass one sweep to each.
+    Only boundary data of the unknown medium is ever used.
+
+    `background`, the zero-potential snapshots on the grid at the sample
+    points, is used exactly as given, and nothing computed from it is
+    cached. Without it, the background sweep, the Lanczos factors of data0
+    (kept for its exact F and dF) and the Born system's TSVD
+    factorization come from the one background model the process keeps
+    (rom._Background): keyed by the grid's L and n and the sample points,
+    never the medium, about 2 * n * m * 8 bytes, read-only arrays that
+    results may share, and bitwise the results of a cold computation.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if grid is None:
         grid = Grid(L=data.L, n=DEFAULT_GRID_NODES)
-    if background is None:
-        background = compute_snapshot_matrix(ZeroPotential(), data0.lambdas, grid)
-    _check_alignment(data, data0, background, grid)
+    model = _background(grid, data0.lambdas) if background is None else None
+    V0 = background if model is None else model.V0
+    _check_alignment(data, data0, V0, grid)
     if method == "born":
-        W, factors = background.V, None
+        W, factors = V0.V, None
     else:
-        factors = (lanczos(build_loewner(data0), truncation_tol),
-                   lanczos(build_loewner(data), truncation_tol))
-        W = lsl_fields(background, *factors, data.lambdas)
-    system = assemble_system(data, data0, background, W, method=method)
-    return replace(solve_regularized(system, rel_threshold), factors=factors)
+        factors0 = (lanczos(build_loewner(data0), truncation_tol) if model is None
+                    else model.factors(data0, truncation_tol))
+        factors = (factors0, lanczos(build_loewner(data), truncation_tol))
+        W = lsl_fields(V0, *factors, data.lambdas)
+    system = assemble_system(data, data0, V0, W, method=method)
+    del W  # the fields are not needed past the assembly; freed, they lower the solve's memory peak
+    if model is None or method != "born":
+        return replace(solve_regularized(system, rel_threshold), factors=factors)
+    # the Born system's A depends on the plan alone: factor it once per model
+    _check_fraction("rel_threshold", rel_threshold)
+    if model.born is None:
+        born = _factor(system.A)
+        _read_only(*born)
+        model.born = born
+    return _solve(system, model.born, rel_threshold)
 
 
 def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> float:

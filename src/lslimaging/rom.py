@@ -10,7 +10,8 @@ when estimating internal fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
 from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, assemble_operator, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import Potential, ZeroPotential
-from .transfer import DataSet
+from .transfer import DataSet, measure_dataset
 
 # Relative eigenvalue floor for the mass matrix, and the Lanczos stopping
 # threshold on the next off-diagonal entry. Kept small: the retained rank
@@ -165,20 +166,25 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     basis[:, 0] = b_r / normfactor
     alphas: list = []
     betas: list = []
+    # the scale of T so far: running maxima of |alpha| and beta, O(1) per step,
+    # each started at its first entry as max() over the list starts
+    alpha_max = beta_max = 0.0
     for step in range(r):
         q = basis[:, step]
         v = S_r @ q
-        alphas.append(float(q @ v))
-        v = v - alphas[-1] * q
+        alpha = float(q @ v)
+        alpha_max = max(alpha_max, abs(alpha)) if alphas else abs(alpha)
+        alphas.append(alpha)
+        v = v - alpha * q
         if betas:
             v = v - betas[-1] * basis[:, step - 1]
         Y = basis[:, : step + 1]
         for _ in range(2):
             v = v - Y @ (Y.T @ v)
         beta = float(np.sqrt(v @ v))
-        t_scale = max(max(abs(a) for a in alphas), max(betas, default=0.0))
-        if step == r - 1 or beta <= truncation_tol * t_scale:
+        if step == r - 1 or beta <= truncation_tol * max(alpha_max, beta_max):
             break
+        beta_max = max(beta_max, beta) if betas else beta
         betas.append(beta)
         basis[:, step + 1] = v / beta
     k = len(alphas)
@@ -266,7 +272,72 @@ def lsl_internal(
 
 
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
-    """Convenience: snapshots and Lanczos factors of the zero-potential medium."""
-    V0 = compute_snapshot_matrix(ZeroPotential(), data0.lambdas, grid)
-    factors0 = lanczos(build_loewner(data0), truncation_tol)
-    return V0, factors0
+    """Convenience: snapshots and Lanczos factors of the zero-potential medium.
+
+    Both come from the cached background model of data0's sample points on
+    the grid (see _Background), so their arrays are shared and read-only.
+    """
+    model = _background(grid, data0.lambdas)
+    return model.V0, model.factors(data0, truncation_tol)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Background:
+    """The zero-potential reference medium of one sampling plan on one grid.
+
+    Nothing in it depends on the medium being imaged: the snapshots V0, the
+    data0 measured from them, the Lanczos factors of background data, and
+    `born`, the Born system's TSVD factorization, which imaging stores. All
+    but V0 are computed on first use. Every array it holds is read-only; V0
+    and the Born QR factor take 2 * n * m * 8 bytes, the rest O(m^2).
+    """
+
+    # how many (truncation_tol, data0) factorizations are kept, oldest dropped first
+    _MAX_FACTORS = 4
+
+    def __init__(self, grid: Grid, lambdas: np.ndarray):
+        self.V0 = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
+        _read_only(self.V0.V, self.V0.lambdas)
+        self.born = None
+        self._factors: Dict[Tuple[float, bytes, bytes], LanczosFactors] = {}
+
+    @cached_property
+    def data0(self) -> DataSet:
+        return measure_dataset(self.V0, label="")
+
+    def dataset(self, label: str) -> DataSet:
+        """The measured data0, labelled."""
+        d = self.data0
+        return DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=label)
+
+    def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
+        """lanczos(build_loewner(data0), truncation_tol), kept for the exact bytes of
+        data0's F and dF; its sample points are the model's own, the key of the cache."""
+        key = (truncation_tol, data0.F.tobytes(), data0.dF.tobytes())
+        factors = self._factors.get(key)
+        if factors is None:
+            factors = lanczos(build_loewner(data0), truncation_tol)
+            _read_only(factors.T, factors.Q)
+            if len(self._factors) == self._MAX_FACTORS:
+                del self._factors[next(iter(self._factors))]
+            self._factors[key] = factors
+        return factors
+
+
+#: The background model of the last sampling plan used, keyed by the grid's
+#: L and n and the bytes of the sample points; it holds one plan at most.
+_BACKGROUND: Dict[Tuple[float, int, bytes], _Background] = {}
+
+
+def _background(grid: Grid, lambdas: np.ndarray) -> _Background:
+    """The cached background model of the sorted sample points on grid; a new plan replaces it."""
+    key = (grid.L, grid.n, np.asarray(lambdas, dtype=float).tobytes())
+    model = _BACKGROUND.get(key)
+    if model is None:
+        _BACKGROUND.clear()
+        model = _BACKGROUND[key] = _Background(grid, lambdas)
+    return model

@@ -158,7 +158,7 @@ def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarra
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:
-    """Read a dataset written by save_dataset; a malformed row is named by its line."""
+    """Read a dataset written by save_dataset; a malformed header token or row is named."""
     lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")
@@ -166,17 +166,25 @@ def load_dataset(path: Union[str, Path]) -> DataSet:
     if "label=" not in header or not header.startswith("L="):
         raise ValueError(f"{path}: malformed header {header!r}")
     meta, label = header.split("label=", 1)
+    bad = [tok for tok in meta.split() if "=" not in tok]
+    if bad:
+        raise ValueError(f"{path}: header token {bad[0]!r} is not key=value")
     fields = dict(tok.split("=", 1) for tok in meta.split())
-    L = float(fields["L"])
+    numbers = {}
+    for key, parse, kind in (("L", float, "a number"), ("m", int, "an integer")):
+        try:
+            numbers[key] = parse(fields[key]) if key in fields else None
+        except ValueError:
+            raise ValueError(f"{path}: header token '{key}={fields[key]}' is not {kind}") from None
     rows = []
     for lineno, ln in lines[1:]:
         row = ln.split()
         if len(row) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 numbers 'lambda F dF', got {ln.strip()!r}")
         rows.append(row)
-    if "m" in fields and int(fields["m"]) != len(rows):
+    if numbers["m"] not in (None, len(rows)):
         raise ValueError(
             f"{path}: header declares m={fields['m']} but found {len(rows)} rows"
         )
     # the text rows go to DataSet's float conversion, which parses as float() does
-    return DataSet(L=L, samples=rows, label=label)
+    return DataSet(L=numbers["L"], samples=rows, label=label)

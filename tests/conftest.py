@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import lslimaging.rom
 from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential
 
 # One line per acceptance criterion, printed after every run that touched
@@ -40,6 +41,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for num in sorted(lines):
             terminalreporter.write_line(lines[num])
+
+
+@pytest.fixture(autouse=True)
+def cold_background():
+    """Every test starts without a cached background model, so call counts are those of a cold run."""
+    lslimaging.rom._BACKGROUND.clear()
 
 
 @pytest.fixture(scope="session")

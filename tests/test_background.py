@@ -1,0 +1,148 @@
+"""The background model cached per sampling plan: reuse, keying and bitwise equality with cold runs."""
+import hashlib
+import sys
+
+import numpy as np
+import pytest
+
+import lslimaging.forward
+import lslimaging.rom
+from lslimaging import (
+    DataSet,
+    Grid,
+    ZeroPotential,
+    background_rom,
+    compute_snapshot_matrix,
+    generate_dataset,
+    preset_config,
+    preset_potential,
+    reconstruct,
+    run_experiment,
+    weyl_sample,
+)
+
+FAST = dict(n=401, N=3, f=3)
+GRID = Grid(1.0, FAST["n"])
+PLAN = weyl_sample(FAST["N"], FAST["f"], 1.0)
+
+
+def digests(paths):
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+
+
+def cached_model():
+    (model,) = lslimaging.rom._BACKGROUND.values()
+    return model
+
+
+def cold_datasets(kind):
+    data = generate_dataset(preset_potential(kind), PLAN.lambdas, GRID)
+    data0 = generate_dataset(ZeroPotential(), PLAN.lambdas, GRID)
+    return data, data0
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.p_est, b.p_est)
+    assert np.array_equal(a.singular_values, b.singular_values)
+    assert (a.residual_norm, a.rank) == (b.residual_norm, b.rank)
+
+
+@pytest.mark.parametrize("first, second", [("gaussian", "step"), ("step", "gaussian")])
+def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
+    run_experiment(preset_config(first, outdir=tmp_path / "first", **FAST))
+    warm = digests(run_experiment(preset_config(second, outdir=tmp_path / "warm", **FAST)))
+    lslimaging.rom._BACKGROUND.clear()
+    cold = digests(run_experiment(preset_config(second, outdir=tmp_path / "cold", **FAST)))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("method", ["born", "lsl"])
+def test_reconstruct_equals_a_run_with_background_passed(method):
+    data, data0 = cold_datasets("gaussian")
+    V0 = compute_snapshot_matrix(ZeroPotential(), PLAN.lambdas, GRID)
+    given = reconstruct(data, data0, method, grid=GRID, background=V0)
+    assert not lslimaging.rom._BACKGROUND  # a given background is never cached
+    cold = reconstruct(data, data0, method, grid=GRID)
+    warm = reconstruct(data, data0, method, grid=GRID)
+    assert_same_result(given, cold)
+    assert_same_result(warm, cold)
+
+
+def test_changed_background_data_is_not_matched_to_the_cached_factors():
+    data, data0 = cold_datasets("gaussian")
+    cached = reconstruct(data, data0, "lsl", grid=GRID).factors[0]
+    rows = np.column_stack((data0.lambdas, data0.F, data0.dF))
+    rows[4, 1] = np.nextafter(rows[4, 1], np.inf)
+    changed = DataSet(data0.L, rows, label=data0.label)
+
+    warm = reconstruct(data, changed, "lsl", grid=GRID)
+    assert warm.factors[0] is not cached
+    assert background_rom(data0, GRID)[1] is cached  # still the factors of the true data0
+    lslimaging.rom._BACKGROUND.clear()
+    cold = reconstruct(data, changed, "lsl", grid=GRID)
+    assert_same_result(warm, cold)
+    for a, b in zip(warm.factors, cold.factors):
+        assert np.array_equal(a.T, b.T) and np.array_equal(a.Q, b.Q)
+
+
+def test_every_cached_array_is_read_only(tmp_path):
+    run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
+    background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
+    model = cached_model()
+    factors = list(model._factors.values())
+    assert len(factors) == 2 and model.born is not None
+    arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
+              *(a for f in factors for a in (f.T, f.Q)), *model.born]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_one_plan_is_kept():
+    data, data0 = cold_datasets("gaussian")
+    reconstruct(data, data0, "born", grid=GRID)
+    other = weyl_sample(2, 2, 1.0)
+    reconstruct(*(generate_dataset(p, other.lambdas, GRID) for p in (preset_potential("step"), ZeroPotential())),
+                "born", grid=GRID)
+    assert np.array_equal(cached_model().V0.lambdas, other.lambdas)
+    # the key is the grid too: the same plan on another grid is another model
+    reconstruct(*cold_datasets("gaussian"), "born", grid=GRID)
+    first = cached_model()
+    grid = Grid(1.0, 201)
+    reconstruct(*(generate_dataset(p, PLAN.lambdas, grid) for p in (preset_potential("step"), ZeroPotential())),
+                "born", grid=grid)
+    assert cached_model() is not first and cached_model().V0.grid == grid
+
+
+def test_warm_experiment_solves_only_the_true_medium(tmp_path, monkeypatch):
+    run_experiment(preset_config("step", outdir=tmp_path / "cold", **FAST))
+    solves, lanczos_calls = [], []
+    resolvent_apply, lanczos = lslimaging.forward.resolvent_apply, lslimaging.rom.lanczos
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[2])
+        return resolvent_apply(*args, **kwargs)
+
+    def counting_lanczos(*args, **kwargs):
+        lanczos_calls.append(args)
+        return lanczos(*args, **kwargs)
+
+    monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting_solve)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lslimaging.") and getattr(module, "lanczos", None) is lanczos:
+            monkeypatch.setattr(module, "lanczos", counting_lanczos)
+    run_experiment(preset_config("gaussian", outdir=tmp_path / "warm", **FAST))
+    assert len(solves) == FAST["N"] * FAST["f"] + 2
+    assert len(lanczos_calls) == 1
+
+
+def test_four_factorizations_are_kept():
+    _, data0 = cold_datasets("gaussian")
+    tols = [1e-14, 1e-13, 1e-12, 1e-11, 1e-10]
+    first = [background_rom(data0, GRID, tol)[1] for tol in tols[:4]]
+    assert [background_rom(data0, GRID, tol)[1] for tol in tols[:4]] == first  # the same objects
+    background_rom(data0, GRID, tols[4])
+    assert len(cached_model()._factors) == 4
+    assert background_rom(data0, GRID, tols[0])[1] is not first[0]  # the oldest was dropped
+    assert background_rom(data0, GRID, tols[2])[1] is first[2]

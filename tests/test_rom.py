@@ -212,6 +212,21 @@ class TestLanczos:
         with pytest.raises(DegenerateSourceError):
             lanczos(pencil, truncation_tol=1e-12)
 
+    @pytest.mark.parametrize("alphas, betas", [
+        # betas set the scale of T: 5e-4 is below 1e-3 * max(beta), far above 1e-3 * max|alpha|
+        ([0.01] * 5, [1.0, 1.0, 5e-4, 1.0]),
+        # the first alpha sets it: 5e-3 is below 1e-3 * 10, far above 1e-3 * max(later |alpha|, beta)
+        ([10.0, 0.01, 0.01, 0.01, 0.01], [1.0, 1.0, 5e-3, 1.0]),
+    ])
+    def test_early_stop_against_the_largest_entry_so_far(self, alphas, betas):
+        # with M = I and b = e_1 the recursion reproduces the tridiagonal S; it
+        # stops at the third beta, the first below truncation_tol * max(|alpha|, beta)
+        S = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        pencil = LoewnerPencil(S=S, M=np.eye(5), b=np.eye(5)[0], lambdas=-np.arange(1.0, 6.0))
+        factors = lanczos(pencil, truncation_tol=1e-3)
+        assert factors.k == 3
+        assert np.allclose(factors.T, S[:3, :3], rtol=1e-12, atol=1e-12)
+
     def test_truncation_tol_validated(self, gaussian_data):
         pencil = build_loewner(gaussian_data)
         with pytest.raises(ValueError):

@@ -325,3 +325,15 @@ class TestFileFormat:
         bad.write_text(f"# L=1 m=2 label=x\n-6.0 0.2 -0.1\n\n{row}\n")
         with pytest.raises(ValueError, match=f"bad.txt: line 4: expected 3 numbers 'lambda F dF', got '{row}'"):
             load_dataset(bad)
+
+    @pytest.mark.parametrize("header, message", [
+        ("# L=1 m=1 bogus label=x", "header token 'bogus' is not key=value"),
+        ("# L=1 m=one label=x", "header token 'm=one' is not an integer"),
+        ("# L=1.0 m=1.0 label=x", "header token 'm=1.0' is not an integer"),
+        ("# L=wide m=1 label=x", "header token 'L=wide' is not a number"),
+    ])
+    def test_malformed_header_token_names_file_and_token(self, tmp_path, header, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{header}\n-6.0 0.2 -0.1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
+            load_dataset(bad)
