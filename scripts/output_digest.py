@@ -1,7 +1,7 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: six
-preset experiments, six `simulate` runs, both `reconstruct` methods and ten
+preset experiments, six `simulate` runs, both `reconstruct` methods and eleven
 failure cases. Then, in this process, it runs the gaussian and the step
 preset back to back on one sampling plan and keeps the second run's files
 (`inproc-step/`): the step run reuses the background model the gaussian run
@@ -62,6 +62,8 @@ FAILURES = [
                                     "background.txt", "--method", "born", "--out", "o.txt"]),
     ("fail-reconstruct-reconstruct", _REC + ["--nodes", "2", "--out", "o.txt"]),
     ("fail-reconstruct-write-output", _REC + ["--out", "missing/o.txt"]),
+    ("fail-reconstruct-bad-row", ["reconstruct", "--data", "bad-row.txt", "--background",
+                                  "background.txt", "--method", "lsl", "--out", "o.txt"]),
     ("fail-simulate-load-config", ["simulate", "--config", "bad.cfg", "--out", "o.txt"]),
     ("fail-simulate-write-output", ["simulate", "--config", "gaussian.cfg", "--out", "missing/o.txt"]),
     ("fail-simulate-set-unknown-key", ["simulate", "--config", "gaussian.cfg", "--set", "nodes=5",
@@ -87,6 +89,8 @@ def main() -> int:
         work = Path(tmp)
         (work / "gaussian.cfg").write_text(CONFIG.format("gaussian"))
         (work / "bad.cfg").write_text("no_such_key = 1\n")
+        # a dataset whose second row holds a token that is not a number
+        (work / "bad-row.txt").write_text("# L=1 m=2 label=bad\n-9 0.5 -0.1\n-4 abc -0.2\n")
         for name, text in CONFIGS.items():
             (work / name).write_text(text)
         for name, args in RUNS + FAILURES:

@@ -60,8 +60,6 @@ from .rom import (
     LoewnerPencil,
     background_rom,
     build_loewner,
-    galerkin_internal,
-    gram_oracle,
     lanczos,
     lsl_fields,
     lsl_internal,

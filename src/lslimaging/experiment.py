@@ -69,6 +69,8 @@ class ExperimentConfig:
         # fail fast, with the modules' own checks
         Grid(self.L, self.n)
         weyl_sample(self.N, self.f, self.L)
+        for name in ("n", "N", "f"):  # integral, as checked: stored as int, so 401.0 is written as 401
+            object.__setattr__(self, name, int(getattr(self, name)))
         _check_fraction("rel_threshold", self.rel_threshold)
         _check_fraction("truncation_tol", self.truncation_tol)
 

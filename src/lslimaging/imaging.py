@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix
 from .grid import Grid
-from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
-from .rom import _background, _read_only
+from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, build_loewner, lanczos, lsl_fields
+from .rom import _Background, _background, _check_fraction, _read_only
 from .transfer import DataSet
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -160,42 +160,37 @@ def reconstruct(
     method "born" uses the background field itself as the internal-field
     stand-in; method "lsl" builds the data-driven reduced models of both
     media and estimates the true internal fields from the measured data.
-    Only boundary data of the unknown medium is ever used.
+    Only boundary data of the unknown medium is ever used. Both fractions
+    are checked first, for either method.
 
-    `background`, the zero-potential snapshots on the grid at the sample
-    points, is used exactly as given, and nothing computed from it is
-    cached. Without it, the background sweep, the Lanczos factors of data0
-    (kept for its exact F and dF) and the Born system's TSVD
-    factorization come from the one background model the process keeps
-    (rom._Background): keyed by the grid's L and n and the sample points,
-    never the medium, about 2 * n * m * 8 bytes, read-only arrays that
-    results may share, and bitwise the results of a cold computation.
+    The background model (rom._Background) gives V0, the Lanczos factors of
+    data0 and the Born TSVD factorization. A given `background`, the
+    zero-potential snapshots on the grid at the sample points, is wrapped in
+    a model that is not kept, and its arrays keep their flags. Without it,
+    the model is the one kept for the sampling plan: keyed by the grid's L
+    and n and the sample points, never the medium, about 2 * n * m * 8
+    bytes. Results may share the model's read-only arrays on both routes,
+    and are bitwise those of a cold computation.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_fraction("rel_threshold", rel_threshold)
+    _check_fraction("truncation_tol", truncation_tol)
     if grid is None:
         grid = Grid(L=data.L, n=DEFAULT_GRID_NODES)
-    model = _background(grid, data0.lambdas) if background is None else None
-    V0 = background if model is None else model.V0
+    model = _background(grid, data0.lambdas) if background is None else _Background(background)
+    V0 = model.V0
     _check_alignment(data, data0, V0, grid)
     if method == "born":
-        W, factors = V0.V, None
-    else:
-        factors0 = (lanczos(build_loewner(data0), truncation_tol) if model is None
-                    else model.factors(data0, truncation_tol))
-        factors = (factors0, lanczos(build_loewner(data), truncation_tol))
-        W = lsl_fields(V0, *factors, data.lambdas)
-    system = assemble_system(data, data0, V0, W, method=method)
-    del W  # the fields are not needed past the assembly; freed, they lower the solve's memory peak
-    if model is None or method != "born":
-        return replace(solve_regularized(system, rel_threshold), factors=factors)
-    # the Born system's A depends on the plan alone: factor it once per model
-    _check_fraction("rel_threshold", rel_threshold)
-    if model.born is None:
-        born = _factor(system.A)
-        _read_only(*born)
-        model.born = born
-    return _solve(system, model.born, rel_threshold)
+        system = assemble_system(data, data0, V0, V0.V, method=method)
+        if model.born is None:  # the Born system's A depends on V0 alone: factor it once per model
+            model.born = _factor(system.A)
+            _read_only(*model.born)
+        return _solve(system, model.born, rel_threshold)
+    factors = (model.factors(data0, truncation_tol), lanczos(build_loewner(data), truncation_tol))
+    # the fields are freed once assembled, which lowers the solve's memory peak
+    system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas), method=method)
+    return replace(solve_regularized(system, rel_threshold), factors=factors)
 
 
 def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> float:

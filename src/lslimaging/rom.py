@@ -22,9 +22,9 @@ from .errors import (
     DimensionMismatchError,
     RomResonanceError,
 )
-from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, assemble_operator, compute_snapshot_matrix
+from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
-from .potentials import Potential, ZeroPotential
+from .potentials import ZeroPotential
 from .transfer import DataSet, measure_dataset
 
 # Relative eigenvalue floor for the mass matrix, and the Lanczos stopping
@@ -97,26 +97,6 @@ def build_loewner(data: DataSet) -> LoewnerPencil:
     np.fill_diagonal(S, F + lams * dF)
     np.fill_diagonal(M, -dF)
     return LoewnerPencil(S=S, M=M, b=F.copy(), lambdas=lams.copy())
-
-
-def gram_oracle(V: SnapshotMatrix, p: Potential) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute the same pencil from internal snapshots, as a test oracle.
-
-    M_ij = <u_i, u_j> by quadrature, S_ij = <u_i, L u_j> by applying the
-    assembled operator, b_i = u_i(0). This route needs the snapshots the
-    inverse problem cannot see; it exists only to validate build_loewner
-    and must never be used in the data-driven path.
-    """
-    grid = V.grid
-    op = assemble_operator(p, grid)
-    # weighted operator W*A_unsym equals h * A_sym, which is symmetric
-    AV = np.empty_like(V.V)
-    for j in range(V.m):
-        AV[:, j] = op.apply(V.V[:, j])
-    S = grid.h * (V.V.T @ AV)
-    M = V.V.T @ (grid.weights[:, None] * V.V)
-    b = V.V[0, :].copy()
-    return S, M, b
 
 
 def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TOL) -> LanczosFactors:
@@ -193,16 +173,6 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
         T += np.diag(betas, 1) + np.diag(betas, -1)
     Q = Z @ basis[:, :k]
     return LanczosFactors(T=T, Q=Q, normfactor=normfactor, k=k)
-
-
-def galerkin_internal(V: SnapshotMatrix, factors: LanczosFactors, lam: float) -> Snapshot:
-    """Reduced-model internal field normfactor * V Q (T + lam I)^{-1} e_1.
-
-    At the sample points this reproduces the snapshot columns (Galerkin
-    interpolation); between them it is the projection-based approximation.
-    It is lsl_internal with the medium's own snapshots and factors.
-    """
-    return lsl_internal(V, factors, factors, lam)
 
 
 def lsl_fields(
@@ -289,21 +259,17 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _Background:
     """The zero-potential reference medium of one sampling plan on one grid.
 
-    Nothing in it depends on the medium being imaged: the snapshots V0, the
-    data0 measured from them, the Lanczos factors of background data, and
-    `born`, the Born system's TSVD factorization, which imaging stores. All
-    but V0 are computed on first use. Every array it holds is read-only; V0
-    and the Born QR factor take 2 * n * m * 8 bytes, the rest O(m^2).
+    Wraps the snapshots V0 and adds, on first use, the data0 measured from
+    them, the Lanczos factors of the last background data asked for, and
+    `born`, the Born system's TSVD factorization, which imaging stores. None
+    depends on the medium imaged; all are read-only, and V0 keeps its flags.
+    A kept model (_background) holds 2 * n * m * 8 bytes, the rest O(m^2).
     """
 
-    # how many (truncation_tol, data0) factorizations are kept, oldest dropped first
-    _MAX_FACTORS = 4
-
-    def __init__(self, grid: Grid, lambdas: np.ndarray):
-        self.V0 = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
-        _read_only(self.V0.V, self.V0.lambdas)
+    def __init__(self, V0: SnapshotMatrix):
+        self.V0 = V0
         self.born = None
-        self._factors: Dict[Tuple[float, bytes, bytes], LanczosFactors] = {}
+        self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
 
     @cached_property
     def data0(self) -> DataSet:
@@ -315,17 +281,14 @@ class _Background:
         return DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=label)
 
     def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
-        """lanczos(build_loewner(data0), truncation_tol), kept for the exact bytes of
-        data0's F and dF; its sample points are the model's own, the key of the cache."""
+        """lanczos(build_loewner(data0), truncation_tol) for data0 on the model's sample points,
+        kept for the last truncation_tol and exact bytes of F and dF; a new key replaces it."""
         key = (truncation_tol, data0.F.tobytes(), data0.dF.tobytes())
-        factors = self._factors.get(key)
-        if factors is None:
+        if self._factors[0] != key:
             factors = lanczos(build_loewner(data0), truncation_tol)
             _read_only(factors.T, factors.Q)
-            if len(self._factors) == self._MAX_FACTORS:
-                del self._factors[next(iter(self._factors))]
-            self._factors[key] = factors
-        return factors
+            self._factors = (key, factors)
+        return self._factors[1]
 
 
 #: The background model of the last sampling plan used, keyed by the grid's
@@ -339,5 +302,7 @@ def _background(grid: Grid, lambdas: np.ndarray) -> _Background:
     model = _BACKGROUND.get(key)
     if model is None:
         _BACKGROUND.clear()
-        model = _BACKGROUND[key] = _Background(grid, lambdas)
+        V0 = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
+        _read_only(V0.V, V0.lambdas)
+        model = _BACKGROUND[key] = _Background(V0)
     return model

@@ -158,7 +158,7 @@ def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarra
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:
-    """Read a dataset written by save_dataset; a malformed header token or row is named."""
+    """Read a dataset written by save_dataset; every fault names the file, and a row's fault its line."""
     lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")
@@ -176,15 +176,20 @@ def load_dataset(path: Union[str, Path]) -> DataSet:
             numbers[key] = parse(fields[key]) if key in fields else None
         except ValueError:
             raise ValueError(f"{path}: header token '{key}={fields[key]}' is not {kind}") from None
-    rows = []
-    for lineno, ln in lines[1:]:
-        row = ln.split()
+    rows = [ln.split() for _, ln in lines[1:]]
+    for (lineno, ln), row in zip(lines[1:], rows):
         if len(row) != 3:
             raise ValueError(f"{path}: line {lineno}: expected 3 numbers 'lambda F dF', got {ln.strip()!r}")
-        rows.append(row)
     if numbers["m"] not in (None, len(rows)):
-        raise ValueError(
-            f"{path}: header declares m={fields['m']} but found {len(rows)} rows"
-        )
-    # the text rows go to DataSet's float conversion, which parses as float() does
-    return DataSet(L=numbers["L"], samples=rows, label=label)
+        raise ValueError(f"{path}: header declares m={fields['m']} but found {len(rows)} rows")
+    try:
+        # the text rows go to DataSet's float conversion, which parses as float() does
+        return DataSet(L=numbers["L"], samples=rows, label=label)
+    except ValueError as exc:
+        # name the first row rejected alone or after the row before it, else the file
+        for i, (lineno, _) in enumerate(lines[1:]):
+            try:
+                _checked_rows(rows[max(i - 1, 0):i + 1])
+            except ValueError as fault:
+                raise ValueError(f"{path}: line {lineno}: {fault}") from None
+        raise ValueError(f"{path}: {exc}") from None

@@ -3,14 +3,24 @@
 Everything here deliberately avoids the code paths under test: the
 tridiagonal solves use a hand-written Thomas elimination in 80-bit
 extended precision instead of LAPACK, the background fields come from
-closed forms, and eigenvalue references come from dense solvers.
+closed forms, and eigenvalue references come from dense solvers. The
+Gram pencil is the one exception: it reads the snapshots the inverse
+problem cannot see, through the package's operator.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lapack
 
-from lslimaging import RESONANCE_RTOL, Grid, Potential, ResonanceProximityError, TridiagonalOperator
+from lslimaging import (
+    RESONANCE_RTOL,
+    Grid,
+    Potential,
+    ResonanceProximityError,
+    SnapshotMatrix,
+    TridiagonalOperator,
+    assemble_operator,
+)
 from lslimaging.forward import _STURM_SLACK
 
 
@@ -112,3 +122,22 @@ def resolvent_apply_always_counted(op: TridiagonalOperator, grid: Grid, lam: flo
     _, _, _, u, info = lapack.dgtsv(op.off, op.diag + lam * dw, op.off, dw * source)
     assert info == 0
     return u
+
+
+def gram_oracle(V: SnapshotMatrix, p: Potential):
+    """The Loewner pencil (S, M, b) computed from internal snapshots.
+
+    M_ij = <u_i, u_j> by quadrature, S_ij = <u_i, L u_j> by applying the
+    assembled operator, b_i = u_i(0). This route needs the snapshots the
+    inverse problem cannot see; it validates build_loewner.
+    """
+    grid = V.grid
+    op = assemble_operator(p, grid)
+    # weighted operator W*A_unsym equals h * A_sym, which is symmetric
+    AV = np.empty_like(V.V)
+    for j in range(V.m):
+        AV[:, j] = op.apply(V.V[:, j])
+    S = grid.h * (V.V.T @ AV)
+    M = V.V.T @ (grid.weights[:, None] * V.V)
+    b = V.V[0, :].copy()
+    return S, M, b

@@ -77,7 +77,6 @@ def test_changed_background_data_is_not_matched_to_the_cached_factors():
 
     warm = reconstruct(data, changed, "lsl", grid=GRID)
     assert warm.factors[0] is not cached
-    assert background_rom(data0, GRID)[1] is cached  # still the factors of the true data0
     lslimaging.rom._BACKGROUND.clear()
     cold = reconstruct(data, changed, "lsl", grid=GRID)
     assert_same_result(warm, cold)
@@ -87,12 +86,11 @@ def test_changed_background_data_is_not_matched_to_the_cached_factors():
 
 def test_every_cached_array_is_read_only(tmp_path):
     run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
-    background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
+    _, factors = background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
     model = cached_model()
-    factors = list(model._factors.values())
-    assert len(factors) == 2 and model.born is not None
+    assert model.born is not None
     arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
-              *(a for f in factors for a in (f.T, f.Q)), *model.born]
+              factors.T, factors.Q, *model.born]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -137,12 +135,22 @@ def test_warm_experiment_solves_only_the_true_medium(tmp_path, monkeypatch):
     assert len(lanczos_calls) == 1
 
 
-def test_four_factorizations_are_kept():
+def test_one_factorization_is_kept():
     _, data0 = cold_datasets("gaussian")
-    tols = [1e-14, 1e-13, 1e-12, 1e-11, 1e-10]
-    first = [background_rom(data0, GRID, tol)[1] for tol in tols[:4]]
-    assert [background_rom(data0, GRID, tol)[1] for tol in tols[:4]] == first  # the same objects
-    background_rom(data0, GRID, tols[4])
-    assert len(cached_model()._factors) == 4
-    assert background_rom(data0, GRID, tols[0])[1] is not first[0]  # the oldest was dropped
-    assert background_rom(data0, GRID, tols[2])[1] is first[2]
+    first = background_rom(data0, GRID)[1]
+    assert background_rom(data0, GRID)[1] is first  # a repeated key returns the same object
+    other = background_rom(data0, GRID, 1e-10)[1]
+    assert other is not first and background_rom(data0, GRID, 1e-10)[1] is other  # a new key replaces it
+    again = background_rom(data0, GRID)[1]
+    assert again is not first  # so going back recomputes, bit for bit
+    assert np.array_equal(again.T, first.T) and np.array_equal(again.Q, first.Q)
+
+
+@pytest.mark.parametrize("method", ["born", "lsl"])
+def test_given_background_keeps_its_flags_and_is_not_cached(method):
+    data, data0 = cold_datasets("step")
+    V0 = compute_snapshot_matrix(ZeroPotential(), PLAN.lambdas, GRID)
+    assert V0.V.flags.writeable and V0.lambdas.flags.writeable
+    reconstruct(data, data0, method, grid=GRID, background=V0)
+    assert V0.V.flags.writeable and V0.lambdas.flags.writeable
+    assert not lslimaging.rom._BACKGROUND

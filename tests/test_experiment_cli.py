@@ -277,6 +277,14 @@ class TestRunExperiment:
         run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
         assert len(calls) == 2
 
+    def test_integral_float_counts_write_the_summary_of_config_text(self, tmp_path):
+        typed = preset_config("zero", outdir=tmp_path / "typed", n=401.0, N=2.0, f=2.0)
+        (tmp_path / "zero.cfg").write_text("potential = zero\nlabel = zero\nn = 401\nN = 2\nf = 2\n")
+        text = load_config(tmp_path / "zero.cfg", outdir=tmp_path / "text")
+        assert [type(getattr(typed, name)) for name in ("n", "N", "f")] == [int] * 3
+        summaries = [run_experiment(config)["summary"].read_bytes() for config in (typed, text)]
+        assert summaries[0] == summaries[1]
+
     def test_stage_failure_is_named(self, tmp_path):
         grid = Grid(1.0, FAST["n"])
         mu1 = operator_eigenvalues(assemble_operator(ZeroPotential(), grid), grid)[1]
@@ -394,6 +402,8 @@ class TestCli:
           "--nodes", "2", "--out", "o.txt"], "reconstruct"),
         (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "lsl",
           "--nodes", "401", "--out", "missing/o.txt"], "write-output"),
+        (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "born",
+          "--truncation-tol", "5", "--nodes", "401", "--out", "o.txt"], "reconstruct"),
         (["simulate", "--config", "bad.cfg", "--out", "o.txt"], "load-config"),
         (["simulate", "--config", "true.cfg", "--out", "missing/o.txt"], "write-output"),
         (["experiment", "zero", "--nodes", "2", "--outdir", "run"], "configure"),
@@ -404,6 +414,7 @@ class TestCli:
         (["experiment", "zero", "--methods", "", "--outdir", "run"], "configure"),
         (["simulate", "--config", "true.cfg", "--set", "methods=", "--out", "o.txt"], "load-config"),
     ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
+            "reconstruct-born-truncation-tol",
             "simulate-load-config", "simulate-write-output", "experiment-configure",
             "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key",
             "experiment-empty-methods", "simulate-empty-methods"])

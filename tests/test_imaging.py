@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import lslimaging.forward
 from lslimaging import (
     DEFAULT_REL_THRESHOLD,
     DegenerateSystemError,
@@ -250,6 +251,23 @@ class TestReconstruct:
         for background in (other_grid, other_samples):
             with pytest.raises(SampleAlignmentError):
                 reconstruct(gaussian_data, background_data, method, grid=g, background=background)
+
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    @pytest.mark.parametrize("name", ["rel_threshold", "truncation_tol"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 5.0, -1e-8, np.nan])
+    def test_fractions_checked_before_any_sweep(self, g, gaussian_data, background_data, monkeypatch,
+                                                method, name, value):
+        solves = []
+        resolvent_apply = lslimaging.forward.resolvent_apply
+
+        def counting(*args, **kwargs):
+            solves.append(args[2])
+            return resolvent_apply(*args, **kwargs)
+
+        monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting)
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\), got {value}$"):
+            reconstruct(gaussian_data, background_data, method, grid=g, **{name: value})
+        assert solves == []
 
 
 class TestRelativeL2Error:

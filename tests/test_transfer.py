@@ -337,3 +337,17 @@ class TestFileFormat:
         bad.write_text(f"{header}\n-6.0 0.2 -0.1\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
             load_dataset(bad)
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("L=1 m=2", "-6.0 0.2 -0.1\n-5.0 abc -0.1", "line 3: could not convert string to float: 'abc'"),
+        ("L=1 m=2", "-6.0 0.2 -0.1\n\n-5.0 0.3 0.0", "line 4: dF must be negative, got 0.0 at lam=-5.0"),
+        ("L=1 m=2", "-6.0 0.2 0.5\n-5.0 0.3 -0.1", "line 2: dF must be negative, got 0.5 at lam=-6.0"),
+        ("L=1 m=3", "-6.0 0.2 -0.1\n-5.0 0.3 -0.1\n-5.0 0.4 -0.2",
+         "line 4: sample points must be strictly increasing and distinct"),
+        ("L=nan m=1", "-6.0 0.2 -0.1", "domain length must be positive, got nan"),
+    ], ids=["non-numeric", "dF-zero", "dF-positive-first-row", "lambda-repeated", "L-nan"])
+    def test_malformed_value_names_file_and_line(self, tmp_path, header, rows, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# {header} label=x\n{rows}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(message)}$"):
+            load_dataset(bad)
