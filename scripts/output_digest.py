@@ -1,11 +1,14 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
-Runs a fixed set of `lslimaging` commands in a temporary directory: six
-preset experiments, six `simulate` runs, both `reconstruct` methods and eleven
+Runs a fixed set of `lslimaging` commands in a temporary directory: seven
+preset experiments, six `simulate` runs, both `reconstruct` methods and twelve
 failure cases. Then, in this process, it runs the gaussian and the step
 preset back to back on one sampling plan and keeps the second run's files
 (`inproc-step/`): the step run reuses the background model the gaussian run
-cached, so its files must hash as `exp-step/`'s do. Prints one sorted
+cached, so its files must hash as `exp-step/`'s do. A third run on that plan,
+the gaussian preset at another internal_lambda (`inproc-gaussian-lambda/`),
+must hash as the cold `exp-gaussian-lambda/`, so a background field kept for
+a stale internal_lambda shows. Prints one sorted
 `sha256  name` line per output file, per stdout, and per stderr plus exit
 code. Paths in the outputs are relative to the temporary directory, so two
 trees give comparable lines:
@@ -24,6 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+# an internal_lambda other than the default, between the background's first two resonances
+LAMBDA = -30.0
 CONFIG = "potential = {}\nL = 1.0\nn = 2001\nN = 10\nf = 4\n"
 # config files written next to gaussian.cfg and bad.cfg: the medium keys of each kind
 CONFIGS = {
@@ -42,6 +47,8 @@ RUNS = [
     ("exp-step-n40", ["experiment", "step", "--intervals", "40", "--outdir", "exp-step-n40"]),
     ("exp-gaussian-lsl", ["experiment", "gaussian", "--methods", "lsl", "--outdir", "exp-gaussian-lsl"]),
     ("exp-step-born", ["experiment", "step", "--methods", "born", "--outdir", "exp-step-born"]),
+    ("exp-gaussian-lambda", ["experiment", "gaussian", "--internal-lambda", str(LAMBDA),
+                             "--outdir", "exp-gaussian-lambda"]),
     ("sim-true", ["simulate", "--config", "gaussian.cfg", "--out", "true.txt"]),
     ("sim-background", ["simulate", "--config", "gaussian.cfg", "--set", "potential=zero",
                         "--out", "background.txt"]),
@@ -64,6 +71,8 @@ FAILURES = [
     ("fail-reconstruct-write-output", _REC + ["--out", "missing/o.txt"]),
     ("fail-reconstruct-bad-row", ["reconstruct", "--data", "bad-row.txt", "--background",
                                   "background.txt", "--method", "lsl", "--out", "o.txt"]),
+    ("fail-reconstruct-not-utf8", ["reconstruct", "--data", "not-utf8.txt", "--background",
+                                   "background.txt", "--method", "lsl", "--out", "o.txt"]),
     ("fail-simulate-load-config", ["simulate", "--config", "bad.cfg", "--out", "o.txt"]),
     ("fail-simulate-write-output", ["simulate", "--config", "gaussian.cfg", "--out", "missing/o.txt"]),
     ("fail-simulate-set-unknown-key", ["simulate", "--config", "gaussian.cfg", "--set", "nodes=5",
@@ -91,6 +100,8 @@ def main() -> int:
         (work / "bad.cfg").write_text("no_such_key = 1\n")
         # a dataset whose second row holds a token that is not a number
         (work / "bad-row.txt").write_text("# L=1 m=2 label=bad\n-9 0.5 -0.1\n-4 abc -0.2\n")
+        # a dataset with a line that is not UTF-8
+        (work / "not-utf8.txt").write_bytes(b"# L=1 m=2 label=bad\n-9 0.5 -0.1\n\xff\xfe\n-4 0.6 -0.2\n")
         for name, text in CONFIGS.items():
             (work / name).write_text(text)
         for name, args in RUNS + FAILURES:
@@ -107,6 +118,8 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as first:
             run_experiment(preset_config("gaussian", outdir=first))
         run_experiment(preset_config("step", outdir=work / "inproc-step"))
+        # the kept model now holds the field at the default internal_lambda
+        run_experiment(preset_config("gaussian", internal_lambda=LAMBDA, outdir=work / "inproc-gaussian-lambda"))
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":
                 lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")

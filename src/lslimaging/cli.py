@@ -59,7 +59,7 @@ def _cmd_reconstruct(args) -> int:
             rel_threshold=args.threshold, truncation_tol=args.truncation_tol,
         )
     with stage("write-output"):
-        _write_reconstruction(args.out, grid, np.full(grid.n, np.nan), {args.method: result})
+        _write_reconstruction(args.out, grid.nodes, np.full(grid.n, np.nan), {args.method: result})
     print(
         f"method={result.method} rank={result.rank} "
         f"residual={result.residual_norm:.6e} -> {args.out}"

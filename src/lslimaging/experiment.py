@@ -181,19 +181,20 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Whitespace-separated table: one header line, 17-significant-digit rows.
 
-    Raises ValueError unless there is one equal-length column per name.
+    A column is an array, or a transfer._Text written as is. Raises
+    ValueError unless there is one equal-length column per name.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
     _write_rows(path, " ".join(names), columns)
 
 
-def _write_reconstruction(path: Union[str, Path], grid: Grid, p_true: np.ndarray,
+def _write_reconstruction(path: Union[str, Path], x, p_true: np.ndarray,
                           results: Mapping[str, ReconstructionResult]) -> None:
     """The table x, p_true, p_<method> for each of METHODS; nan for a method not run."""
-    nan_col = np.full(grid.n, np.nan)
+    nan_col = np.full(len(p_true), np.nan)
     columns = [results[m].p_est if m in results else nan_col for m in METHODS]
-    write_table(path, ("x", "p_true", *(f"p_{m}" for m in METHODS)), (grid.nodes, p_true, *columns))
+    write_table(path, ("x", "p_true", *(f"p_{m}" for m in METHODS)), (x, p_true, *columns))
 
 
 def default_internal_lambda(lambdas: np.ndarray) -> float:
@@ -217,8 +218,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
 
     The background comes from the background model the process keeps for
     one sampling plan (see reconstruct), whose key leaves out the medium: a
-    run after the first with the same L, n, N and f sweeps only the true
-    medium, and writes the same bytes as a cold run.
+    run after the first with the same L, n, N and f solves only for the true
+    medium (and the background at a new internal_lambda), bytes unchanged.
     """
     lam = config.internal_lambda
     with stage("internal-solution"):
@@ -248,7 +249,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     with stage("internal-solution"):
         lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
         u_true = solve_forward(config.potential, lam_star, grid).values
-        u_bg = solve_forward(ZeroPotential(), lam_star, grid).values
+        u_bg, u_bg_text = background.field(lam_star)
         u_lsl = (lsl_internal(background.V0, *results["lsl"].factors, lam_star).values
                  if "lsl" in results else np.full(grid.n, np.nan))
 
@@ -258,11 +259,11 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         paths = {name.split(".")[0]: outdir / name for name in OUTPUT_FILES}
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
-        _write_reconstruction(paths["reconstruction"], grid, p_true, results)
+        _write_reconstruction(paths["reconstruction"], background.nodes_text, p_true, results)
         write_table(
             paths["internal_solution"],
             ("x", "u_true", "u_background", "u_lsl"),
-            (grid.nodes, u_true, u_bg, u_lsl),
+            (background.nodes_text, u_true, u_bg_text, u_lsl),
         )
 
         lines = [

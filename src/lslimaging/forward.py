@@ -232,7 +232,13 @@ class SnapshotMatrix:
 
 
 def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
-    """Solve the forward problem at every sample point and stack the columns.
+    """Solve the forward problem at every sample point and stack the columns (_sweep), in C order."""
+    V = _sweep(p, lambdas, grid)
+    return SnapshotMatrix(V=np.ascontiguousarray(V.V), grid=grid, lambdas=V.lambdas)
+
+
+def _sweep(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
+    """The snapshot matrix with V in Fortran order: each solve fills one contiguous column.
 
     The one forward sweep per medium: data, background fields and reduced-
     model bases all come from it. The sample points are sorted ascending;
@@ -248,7 +254,7 @@ def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix
     lams = np.sort(lams)
     op = assemble_operator(p, grid)
     source = _boundary_source(grid)
-    V = np.empty((grid.n, lams.size))
+    V = np.empty((grid.n, lams.size), order="F")
     for j, lam in enumerate(lams):
         V[:, j] = resolvent_apply(op, grid, lam, source)
     return SnapshotMatrix(V=V, grid=grid, lambdas=lams)

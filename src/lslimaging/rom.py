@@ -22,10 +22,10 @@ from .errors import (
     DimensionMismatchError,
     RomResonanceError,
 )
-from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, compute_snapshot_matrix
+from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, compute_snapshot_matrix, solve_forward
 from .grid import Grid
 from .potentials import ZeroPotential
-from .transfer import DataSet, measure_dataset
+from .transfer import DataSet, _Text, measure_dataset
 
 # Relative eigenvalue floor for the mass matrix, and the Lanczos stopping
 # threshold on the next off-diagonal entry. Kept small: the retained rank
@@ -260,16 +260,30 @@ class _Background:
     """The zero-potential reference medium of one sampling plan on one grid.
 
     Wraps the snapshots V0 and adds, on first use, the data0 measured from
-    them, the Lanczos factors of the last background data asked for, and
-    `born`, the Born system's TSVD factorization, which imaging stores. None
-    depends on the medium imaged; all are read-only, and V0 keeps its flags.
-    A kept model (_background) holds 2 * n * m * 8 bytes, the rest O(m^2).
+    them, the Lanczos factors of the last background data asked for, `born`
+    (the Born system's TSVD factorization, which imaging stores), field()
+    and nodes_text. None depends on the medium imaged; all are read-only, and
+    V0 keeps its flags. A kept model (_background) holds 2 * n * m * 8 bytes
+    and, at n = 2001, about 0.3 MB of text; the rest is O(m^2) or O(n).
     """
 
     def __init__(self, V0: SnapshotMatrix):
         self.V0 = V0
         self.born = None
         self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
+        self._field: Tuple = (None, None, None)  # (lam, values, _Text) of the last lam
+
+    @cached_property
+    def nodes_text(self) -> _Text:
+        return _Text(self.V0.grid.nodes)
+
+    def field(self, lam: float) -> Tuple[np.ndarray, _Text]:
+        """solve_forward's zero-potential field at lam and its _FMT text, kept for the last lam."""
+        if self._field[0] != lam:
+            u = solve_forward(ZeroPotential(), lam, self.V0.grid).values
+            _read_only(u)
+            self._field = (lam, u, _Text(u))
+        return self._field[1:]
 
     @cached_property
     def data0(self) -> DataSet:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .forward import Snapshot, SnapshotMatrix, compute_snapshot_matrix
+from .forward import Snapshot, SnapshotMatrix, _sweep
 from .grid import Grid
 from .potentials import Potential
 
@@ -116,6 +116,7 @@ def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
     F is the first row of V and dF = -sum(weights * u * u) per column u, as
     transfer_derivative computes it: each column is summed as one contiguous
     row of V^T, which keeps numpy's pairwise order, so the bits are the same.
+    V^T is copied only when V is not in Fortran order.
     """
     Vt = np.ascontiguousarray(V.V.T)
     dF = -(V.grid.weights * Vt * Vt).sum(axis=1)
@@ -131,10 +132,10 @@ def generate_dataset(
     """Measure (F, dF) at each sample point by forward solves on the grid.
 
     The sample points are sorted ascending; duplicates or an empty list are
-    rejected (see compute_snapshot_matrix).
+    rejected (see compute_snapshot_matrix). The sweep's Fortran-ordered V is
+    measured as it is, with no transposed copy.
     """
-    V = compute_snapshot_matrix(p, lambdas, grid)
-    return measure_dataset(V, p.label if label is None else label)
+    return measure_dataset(_sweep(p, lambdas, grid), p.label if label is None else label)
 
 
 def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:
@@ -147,19 +148,32 @@ def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:
     _write_rows(path, header, (dataset.lambdas, dataset.F, dataset.dF))
 
 
+class _Text(tuple):
+    """The _FMT text of an array's values, one string per row: a column _write_rows writes as is."""
+
+    def __new__(cls, values: np.ndarray):
+        return super().__new__(cls, (_FMT % v for v in np.asarray(values, dtype=float).tolist()))
+
+
 def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write the header line, then row i of the equal-length columns per line, in _FMT."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
-        raise ValueError(f"columns must be 1D and of equal length, got shapes {[c.shape for c in cols]}")
-    row = " ".join([_FMT] * len(cols))
-    lines = [header] + [row % tuple(r) for r in np.column_stack(cols).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header line, then row i of the equal-length columns per line,
+    from one template: %s for a _Text column and _FMT for an array of numbers."""
+    text = [isinstance(c, _Text) for c in columns]
+    cols = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, text)]
+    shapes = [(len(c),) if t else c.shape for c, t in zip(cols, text)]
+    if not cols or any(len(s) != 1 or s != shapes[0] for s in shapes):
+        raise ValueError(f"columns must be 1D and of equal length, got shapes {shapes}")
+    row = " ".join("%s" if t else _FMT for t in text)
+    rows = zip(*(c if t else c.tolist() for c, t in zip(cols, text)))
+    Path(path).write_text("\n".join([header] + [row % r for r in rows]) + "\n")
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:
     """Read a dataset written by save_dataset; every fault names the file, and a row's fault its line."""
-    lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+    try:
+        lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte offset {exc.start}: not {exc.encoding} text ({exc.reason})") from None
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")
     header = lines[0][1][1:].lstrip()  # the label runs to the end of the line

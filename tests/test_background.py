@@ -1,6 +1,7 @@
 """The background model cached per sampling plan: reuse, keying and bitwise equality with cold runs."""
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from lslimaging import (
     preset_potential,
     reconstruct,
     run_experiment,
+    solve_forward,
     weyl_sample,
 )
+from lslimaging.experiment import default_internal_lambda
+from lslimaging.transfer import _FMT
 
 FAST = dict(n=401, N=3, f=3)
 GRID = Grid(1.0, FAST["n"])
@@ -56,6 +60,40 @@ def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
     assert warm == cold
 
 
+@pytest.mark.parametrize("first, second", [(None, -30.0), (-30.0, None)])
+def test_warm_run_with_another_internal_lambda_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
+    run_experiment(preset_config("gaussian", outdir=tmp_path / "first", internal_lambda=first, **FAST))
+    config = preset_config("step", outdir=tmp_path / "warm", internal_lambda=second, **FAST)
+    warm = digests(run_experiment(config))
+    lslimaging.rom._BACKGROUND.clear()
+    cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
+    assert warm == cold
+
+
+def test_warm_run_on_another_grid_writes_the_bytes_of_a_cold_run(tmp_path):
+    run_experiment(preset_config("gaussian", outdir=tmp_path / "first", **FAST))
+    config = preset_config("step", outdir=tmp_path / "warm", **{**FAST, "n": 201})
+    warm = digests(run_experiment(config))
+    lslimaging.rom._BACKGROUND.clear()
+    cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
+    assert warm == cold
+
+
+def test_kept_text_is_the_format_of_the_kept_arrays(tmp_path):
+    run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
+    model = cached_model()
+    lam = default_internal_lambda(PLAN.lambdas)
+    u, text = model.field(lam)
+    assert model.field(lam)[1] is text  # the field at the last lam is kept
+    assert np.array_equal(u, solve_forward(ZeroPotential(), lam, GRID).values)
+    assert text == tuple(_FMT % v for v in u.tolist())
+    assert model.nodes_text == tuple(_FMT % v for v in GRID.nodes.tolist())
+    other, other_text = model.field(-30.0)  # a new lam replaces it
+    assert other_text == tuple(_FMT % v for v in other.tolist())
+    again, again_text = model.field(lam)
+    assert again_text is not text and again_text == text and np.array_equal(again, u)
+
+
 @pytest.mark.parametrize("method", ["born", "lsl"])
 def test_reconstruct_equals_a_run_with_background_passed(method):
     data, data0 = cold_datasets("gaussian")
@@ -89,8 +127,9 @@ def test_every_cached_array_is_read_only(tmp_path):
     _, factors = background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
     model = cached_model()
     assert model.born is not None
+    field, _ = model.field(default_internal_lambda(PLAN.lambdas))
     arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
-              factors.T, factors.Q, *model.born]
+              factors.T, factors.Q, *model.born, field]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -131,7 +170,7 @@ def test_warm_experiment_solves_only_the_true_medium(tmp_path, monkeypatch):
         if name.startswith("lslimaging.") and getattr(module, "lanczos", None) is lanczos:
             monkeypatch.setattr(module, "lanczos", counting_lanczos)
     run_experiment(preset_config("gaussian", outdir=tmp_path / "warm", **FAST))
-    assert len(solves) == FAST["N"] * FAST["f"] + 2
+    assert len(solves) == FAST["N"] * FAST["f"] + 1
     assert len(lanczos_calls) == 1
 
 

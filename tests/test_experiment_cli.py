@@ -33,6 +33,7 @@ from lslimaging.experiment import (
     preset_potential,
     write_table,
 )
+from lslimaging.transfer import _Text
 
 FAST = dict(n=401, N=3, f=3)  # keeps orchestration tests quick
 
@@ -195,12 +196,19 @@ class TestWriteTable:
         (("x", "y"), (np.zeros(3), np.zeros(2))),
         (("x",), (np.zeros(3), np.zeros(3))),
         (("x", "y", "z"), (np.zeros(3), np.zeros(3))),
+        (("x", "y"), (_Text(np.zeros(2)), np.zeros(3))),  # a text column of the wrong length
     ])
     def test_ragged_or_misnamed_columns_rejected(self, tmp_path, names, columns):
         path = tmp_path / "table.txt"
         with pytest.raises(ValueError):
             write_table(path, names, columns)
         assert not path.exists()
+
+    def test_text_column_writes_the_bytes_of_its_array(self, tmp_path):
+        cols = (np.array([0.0, -0.0, 1e-310, np.nan]), np.array([np.pi, -np.inf, 7.0, 1.0 / 3.0]))
+        write_table(tmp_path / "array.txt", ("a", "b"), cols)
+        write_table(tmp_path / "text.txt", ("a", "b"), (_Text(cols[0]), cols[1]))
+        assert (tmp_path / "text.txt").read_bytes() == (tmp_path / "array.txt").read_bytes()
 
 
 class TestRunExperiment:

@@ -127,6 +127,14 @@ class TestGenerateDataset:
         assert np.array_equal(data.F, [measure_transfer(s, g) for s in snaps])
         assert np.array_equal(data.dF, [transfer_derivative(s, g) for s in snaps])
 
+    def test_equals_a_measurement_of_the_snapshot_matrix(self, g):
+        p, lams = GaussianPotential(5.0, 0.5, 0.1), weyl_sample(10, 4, 1.0).lambdas
+        data, V = generate_dataset(p, lams, g), compute_snapshot_matrix(p, lams, g)
+        assert V.V.flags.c_contiguous
+        reference = measure_dataset(V, "gaussian")
+        for name in ("lambdas", "F", "dF"):
+            assert np.array_equal(getattr(data, name), getattr(reference, name))
+
     def test_label_defaults_to_potential_label(self, g):
         data = generate_dataset(ZeroPotential(), [-5.0], g)
         assert data.label == "zero"
@@ -305,6 +313,14 @@ class TestFileFormat:
         bad.write_text("# L=1 m=3 label=x\n-5.0 0.3 -0.1\n")
         with pytest.raises(ValueError):
             load_dataset(bad)
+
+    def test_file_that_is_not_utf8_names_file_and_byte_offset(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        head = b"# L=1 m=2 label=x\n-6.0 0.2 -0.1\n"
+        bad.write_bytes(head + b"\xff\xfe\n-5.0 0.3 -0.1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: byte offset {len(head)}: ") as excinfo:
+            load_dataset(bad)
+        assert not isinstance(excinfo.value, UnicodeError)
 
     @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
                                        "a\x85b", "a\u2028b", "a\u2029b", "a\n"])
