@@ -58,7 +58,6 @@ from .rom import (
     DEFAULT_TRUNCATION_TOL,
     LanczosFactors,
     LoewnerPencil,
-    background_rom,
     build_loewner,
     lanczos,
     lsl_fields,
@@ -71,6 +70,7 @@ from .imaging import (
     ImagingSystem,
     ReconstructionResult,
     assemble_system,
+    background_rom,
     reconstruct,
     relative_l2_error,
     solve_regularized,

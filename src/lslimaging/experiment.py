@@ -15,11 +15,12 @@ from .imaging import (
     DEFAULT_REL_THRESHOLD,
     METHODS,
     ReconstructionResult,
+    _background,
     reconstruct,
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, _background, _check_fraction, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
 from .transfer import _FMT, _check_label, _write_rows, generate_dataset, save_dataset
 
@@ -138,9 +139,12 @@ def _check_key(key: str, where: str = "") -> None:
 def _potential_from_values(values: Mapping[str, object], L: float) -> Potential:
     """The preset medium of kind `potential` (default zero), with its parsed keys applied.
 
-    Keys that describe another kind of medium are ignored.
+    Keys that describe another kind of medium are ignored, and so are all of
+    them when `potential` is a Potential, which is taken as it is.
     """
     kind = values.get("potential", "zero")
+    if isinstance(kind, Potential):
+        return kind
     if kind not in PRESETS:
         raise ValueError(f"unknown potential kind {kind!r}")
     medium = preset_potential(kind, L)

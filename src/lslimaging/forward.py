@@ -232,16 +232,11 @@ class SnapshotMatrix:
 
 
 def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
-    """Solve the forward problem at every sample point and stack the columns (_sweep), in C order."""
-    V = _sweep(p, lambdas, grid)
-    return SnapshotMatrix(V=np.ascontiguousarray(V.V), grid=grid, lambdas=V.lambdas)
-
-
-def _sweep(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix:
-    """The snapshot matrix with V in Fortran order: each solve fills one contiguous column.
+    """Solve the forward problem at every sample point and stack the columns.
 
     The one forward sweep per medium: data, background fields and reduced-
-    model bases all come from it. The sample points are sorted ascending;
+    model bases all come from it. V is in Fortran order, so each solve fills
+    one contiguous column. The sample points are sorted ascending;
     duplicates, non-finite points or an empty list are rejected.
     """
     lams = np.asarray(lambdas, dtype=float)

@@ -8,16 +8,17 @@ Born linearization, data-driven estimate for the LSL method).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import DegenerateSystemError, SampleAlignmentError
-from .forward import SnapshotMatrix
+from .forward import SnapshotMatrix, compute_snapshot_matrix, solve_forward
 from .grid import Grid
-from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, build_loewner, lanczos, lsl_fields
-from .rom import _Background, _background, _check_fraction, _read_only
-from .transfer import DataSet
+from .potentials import ZeroPotential
+from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
+from .transfer import DataSet, _Text, measure_dataset
 
 DEFAULT_REL_THRESHOLD = 1e-8
 DEFAULT_GRID_NODES = 2001
@@ -75,9 +76,12 @@ def assemble_system(
     _check_alignment(data, data0, V0, grid)
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
-    A = (grid.weights[:, None] * V0.V * W).T
-    d = data0.F - data.F
-    return ImagingSystem(A=A, d=d, grid=grid, method=method)
+    return ImagingSystem(A=_system_matrix(V0, W), d=data0.F - data.F, grid=grid, method=method)
+
+
+def _system_matrix(V0: SnapshotMatrix, W: np.ndarray) -> np.ndarray:
+    """A of assemble_system: row j is weights * V0.V[:, j] * W[:, j]."""
+    return (V0.grid.weights[:, None] * V0.V * W).T
 
 
 def solve_regularized(
@@ -163,14 +167,13 @@ def reconstruct(
     Only boundary data of the unknown medium is ever used. Both fractions
     are checked first, for either method.
 
-    The background model (rom._Background) gives V0, the Lanczos factors of
+    The background model (_Background) gives V0, the Lanczos factors of
     data0 and the Born TSVD factorization. A given `background`, the
-    zero-potential snapshots on the grid at the sample points, is wrapped in
-    a model that is not kept, and its arrays keep their flags. Without it,
-    the model is the one kept for the sampling plan: keyed by the grid's L
-    and n and the sample points, never the medium, about 2 * n * m * 8
-    bytes. Results may share the model's read-only arrays on both routes,
-    and are bitwise those of a cold computation.
+    zero-potential snapshots on the grid at the sample points, goes into a
+    model that copies it and is not kept. Without it, the model is the one
+    kept for the sampling plan: keyed by the grid's L and n and the sample
+    points, never the medium, about 2 * n * m * 8 bytes. Results may share
+    the model's read-only arrays, and are bitwise those of a cold run.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -182,11 +185,8 @@ def reconstruct(
     V0 = model.V0
     _check_alignment(data, data0, V0, grid)
     if method == "born":
-        system = assemble_system(data, data0, V0, V0.V, method=method)
-        if model.born is None:  # the Born system's A depends on V0 alone: factor it once per model
-            model.born = _factor(system.A)
-            _read_only(*model.born)
-        return _solve(system, model.born, rel_threshold)
+        factors = model.born  # first, so that its A is freed before the system's is made
+        return _solve(assemble_system(data, data0, V0, V0.V, method=method), factors, rel_threshold)
     factors = (model.factors(data0, truncation_tol), lanczos(build_loewner(data), truncation_tol))
     # the fields are freed once assembled, which lowers the solve's memory peak
     system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas), method=method)
@@ -202,3 +202,86 @@ def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> floa
     err = grid.norm(p_est - p_true)
     ref = grid.norm(p_true)
     return err if ref == 0.0 else err / ref
+
+
+def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
+    """Convenience: the cached background model's V0 and Lanczos factors of data0 (shared, read-only)."""
+    model = _background(grid, data0.lambdas)
+    return model.V0, model.factors(data0, truncation_tol)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+class _Background:
+    """The zero-potential reference medium of one sampling plan on one grid.
+
+    V0 is a copy of the snapshots it is given, V in C order; on first use come
+    the data0 measured from them, the Lanczos factors of the last background
+    data asked for, `born` (the Born system's TSVD factorization), field() and
+    nodes_text. None depends on the medium imaged, and all are read-only. A
+    kept model (_background) holds 2 * n * m * 8 bytes and, at n = 2001,
+    about 0.3 MB of text; the rest is O(m^2) or O(n).
+    """
+
+    def __init__(self, V0: SnapshotMatrix):
+        V, lambdas = np.array(V0.V, order="C"), np.array(V0.lambdas)
+        _read_only(V, lambdas)
+        self.V0 = SnapshotMatrix(V=V, grid=V0.grid, lambdas=lambdas)
+        self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
+        self._field: Tuple = (None, None, None)  # (lam, values, _Text) of the last lam
+
+    @cached_property
+    def born(self) -> Tuple[np.ndarray, ...]:
+        """_factor of the Born system's A, which depends on V0 alone."""
+        born = _factor(_system_matrix(self.V0, self.V0.V))
+        _read_only(*born)
+        return born
+
+    @cached_property
+    def nodes_text(self) -> _Text:
+        return _Text(self.V0.grid.nodes)
+
+    def field(self, lam: float) -> Tuple[np.ndarray, _Text]:
+        """solve_forward's zero-potential field at lam and its _FMT text, kept for the last lam."""
+        if self._field[0] != lam:
+            u = solve_forward(ZeroPotential(), lam, self.V0.grid).values
+            _read_only(u)
+            self._field = (lam, u, _Text(u))
+        return self._field[1:]
+
+    @cached_property
+    def data0(self) -> DataSet:
+        return measure_dataset(self.V0, label="")
+
+    def dataset(self, label: str) -> DataSet:
+        """The measured data0, labelled."""
+        d = self.data0
+        return DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=label)
+
+    def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
+        """lanczos(build_loewner(data0), truncation_tol) for data0 on the model's sample points,
+        kept for the last truncation_tol and exact bytes of F and dF; a new key replaces it."""
+        key = (truncation_tol, data0.F.tobytes(), data0.dF.tobytes())
+        if self._factors[0] != key:
+            factors = lanczos(build_loewner(data0), truncation_tol)
+            _read_only(factors.T, factors.Q)
+            self._factors = (key, factors)
+        return self._factors[1]
+
+
+#: The background model of the last sampling plan used, keyed by the grid's
+#: L and n and the bytes of the sample points; it holds one plan at most.
+_BACKGROUND: Dict[Tuple[float, int, bytes], _Background] = {}
+
+
+def _background(grid: Grid, lambdas: np.ndarray) -> _Background:
+    """The cached background model of the sorted sample points on grid; a new plan replaces it."""
+    key = (grid.L, grid.n, np.asarray(lambdas, dtype=float).tobytes())
+    model = _BACKGROUND.get(key)
+    if model is None:
+        _BACKGROUND.clear()
+        model = _BACKGROUND[key] = _Background(compute_snapshot_matrix(ZeroPotential(), lambdas, grid))
+    return model

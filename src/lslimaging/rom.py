@@ -10,8 +10,7 @@ when estimating internal fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,10 +21,8 @@ from .errors import (
     DimensionMismatchError,
     RomResonanceError,
 )
-from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix, compute_snapshot_matrix, solve_forward
-from .grid import Grid
-from .potentials import ZeroPotential
-from .transfer import DataSet, _Text, measure_dataset
+from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix
+from .transfer import DataSet
 
 # Relative eigenvalue floor for the mass matrix, and the Lanczos stopping
 # threshold on the next off-diagonal entry. Kept small: the retained rank
@@ -239,84 +236,3 @@ def lsl_internal(
 ) -> Snapshot:
     """The internal-field estimate of lsl_fields at the single point lam."""
     return Snapshot(lam=float(lam), values=lsl_fields(V0, factors0, factors, [lam])[:, 0])
-
-
-def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
-    """Convenience: snapshots and Lanczos factors of the zero-potential medium.
-
-    Both come from the cached background model of data0's sample points on
-    the grid (see _Background), so their arrays are shared and read-only.
-    """
-    model = _background(grid, data0.lambdas)
-    return model.V0, model.factors(data0, truncation_tol)
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
-class _Background:
-    """The zero-potential reference medium of one sampling plan on one grid.
-
-    Wraps the snapshots V0 and adds, on first use, the data0 measured from
-    them, the Lanczos factors of the last background data asked for, `born`
-    (the Born system's TSVD factorization, which imaging stores), field()
-    and nodes_text. None depends on the medium imaged; all are read-only, and
-    V0 keeps its flags. A kept model (_background) holds 2 * n * m * 8 bytes
-    and, at n = 2001, about 0.3 MB of text; the rest is O(m^2) or O(n).
-    """
-
-    def __init__(self, V0: SnapshotMatrix):
-        self.V0 = V0
-        self.born = None
-        self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
-        self._field: Tuple = (None, None, None)  # (lam, values, _Text) of the last lam
-
-    @cached_property
-    def nodes_text(self) -> _Text:
-        return _Text(self.V0.grid.nodes)
-
-    def field(self, lam: float) -> Tuple[np.ndarray, _Text]:
-        """solve_forward's zero-potential field at lam and its _FMT text, kept for the last lam."""
-        if self._field[0] != lam:
-            u = solve_forward(ZeroPotential(), lam, self.V0.grid).values
-            _read_only(u)
-            self._field = (lam, u, _Text(u))
-        return self._field[1:]
-
-    @cached_property
-    def data0(self) -> DataSet:
-        return measure_dataset(self.V0, label="")
-
-    def dataset(self, label: str) -> DataSet:
-        """The measured data0, labelled."""
-        d = self.data0
-        return DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=label)
-
-    def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
-        """lanczos(build_loewner(data0), truncation_tol) for data0 on the model's sample points,
-        kept for the last truncation_tol and exact bytes of F and dF; a new key replaces it."""
-        key = (truncation_tol, data0.F.tobytes(), data0.dF.tobytes())
-        if self._factors[0] != key:
-            factors = lanczos(build_loewner(data0), truncation_tol)
-            _read_only(factors.T, factors.Q)
-            self._factors = (key, factors)
-        return self._factors[1]
-
-
-#: The background model of the last sampling plan used, keyed by the grid's
-#: L and n and the bytes of the sample points; it holds one plan at most.
-_BACKGROUND: Dict[Tuple[float, int, bytes], _Background] = {}
-
-
-def _background(grid: Grid, lambdas: np.ndarray) -> _Background:
-    """The cached background model of the sorted sample points on grid; a new plan replaces it."""
-    key = (grid.L, grid.n, np.asarray(lambdas, dtype=float).tobytes())
-    model = _BACKGROUND.get(key)
-    if model is None:
-        _BACKGROUND.clear()
-        V0 = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
-        _read_only(V0.V, V0.lambdas)
-        model = _BACKGROUND[key] = _Background(V0)
-    return model

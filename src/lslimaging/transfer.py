@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .forward import Snapshot, SnapshotMatrix, _sweep
+from .forward import Snapshot, SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import Potential
 
@@ -135,7 +135,7 @@ def generate_dataset(
     rejected (see compute_snapshot_matrix). The sweep's Fortran-ordered V is
     measured as it is, with no transposed copy.
     """
-    return measure_dataset(_sweep(p, lambdas, grid), p.label if label is None else label)
+    return measure_dataset(compute_snapshot_matrix(p, lambdas, grid), p.label if label is None else label)
 
 
 def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:

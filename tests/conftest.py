@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-import lslimaging.rom
+import lslimaging.imaging
 from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential
 
 # One line per acceptance criterion, printed after every run that touched
@@ -46,7 +46,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(autouse=True)
 def cold_background():
     """Every test starts without a cached background model, so call counts are those of a cold run."""
-    lslimaging.rom._BACKGROUND.clear()
+    lslimaging.imaging._BACKGROUND.clear()
 
 
 @pytest.fixture(scope="session")

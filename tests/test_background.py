@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lslimaging.forward
+import lslimaging.imaging
 import lslimaging.rom
 from lslimaging import (
     DataSet,
@@ -35,7 +36,7 @@ def digests(paths):
 
 
 def cached_model():
-    (model,) = lslimaging.rom._BACKGROUND.values()
+    (model,) = lslimaging.imaging._BACKGROUND.values()
     return model
 
 
@@ -55,7 +56,7 @@ def assert_same_result(a, b):
 def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
     run_experiment(preset_config(first, outdir=tmp_path / "first", **FAST))
     warm = digests(run_experiment(preset_config(second, outdir=tmp_path / "warm", **FAST)))
-    lslimaging.rom._BACKGROUND.clear()
+    lslimaging.imaging._BACKGROUND.clear()
     cold = digests(run_experiment(preset_config(second, outdir=tmp_path / "cold", **FAST)))
     assert warm == cold
 
@@ -65,7 +66,7 @@ def test_warm_run_with_another_internal_lambda_writes_the_bytes_of_a_cold_run(tm
     run_experiment(preset_config("gaussian", outdir=tmp_path / "first", internal_lambda=first, **FAST))
     config = preset_config("step", outdir=tmp_path / "warm", internal_lambda=second, **FAST)
     warm = digests(run_experiment(config))
-    lslimaging.rom._BACKGROUND.clear()
+    lslimaging.imaging._BACKGROUND.clear()
     cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
     assert warm == cold
 
@@ -74,7 +75,7 @@ def test_warm_run_on_another_grid_writes_the_bytes_of_a_cold_run(tmp_path):
     run_experiment(preset_config("gaussian", outdir=tmp_path / "first", **FAST))
     config = preset_config("step", outdir=tmp_path / "warm", **{**FAST, "n": 201})
     warm = digests(run_experiment(config))
-    lslimaging.rom._BACKGROUND.clear()
+    lslimaging.imaging._BACKGROUND.clear()
     cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
     assert warm == cold
 
@@ -94,12 +95,23 @@ def test_kept_text_is_the_format_of_the_kept_arrays(tmp_path):
     assert again_text is not text and again_text == text and np.array_equal(again, u)
 
 
-@pytest.mark.parametrize("method", ["born", "lsl"])
-def test_reconstruct_equals_a_run_with_background_passed(method):
-    data, data0 = cold_datasets("gaussian")
+def given_background(layout):
+    """The zero-potential snapshots as compute_snapshot_matrix returns them (V in Fortran order), or with V in C order."""
     V0 = compute_snapshot_matrix(ZeroPotential(), PLAN.lambdas, GRID)
-    given = reconstruct(data, data0, method, grid=GRID, background=V0)
-    assert not lslimaging.rom._BACKGROUND  # a given background is never cached
+    assert V0.V.flags.f_contiguous
+    return V0 if layout == "F" else replace(V0, V=np.ascontiguousarray(V0.V))
+
+
+# the sweep's own layout keeps the plain method id
+GIVEN = [pytest.param(method, layout, id=method if layout == "F" else f"{method}-{layout}")
+         for method in ("born", "lsl") for layout in ("F", "C")]
+
+
+@pytest.mark.parametrize("method, layout", GIVEN)
+def test_reconstruct_equals_a_run_with_background_passed(method, layout):
+    data, data0 = cold_datasets("gaussian")
+    given = reconstruct(data, data0, method, grid=GRID, background=given_background(layout))
+    assert not lslimaging.imaging._BACKGROUND  # a given background is never cached
     cold = reconstruct(data, data0, method, grid=GRID)
     warm = reconstruct(data, data0, method, grid=GRID)
     assert_same_result(given, cold)
@@ -115,7 +127,7 @@ def test_changed_background_data_is_not_matched_to_the_cached_factors():
 
     warm = reconstruct(data, changed, "lsl", grid=GRID)
     assert warm.factors[0] is not cached
-    lslimaging.rom._BACKGROUND.clear()
+    lslimaging.imaging._BACKGROUND.clear()
     cold = reconstruct(data, changed, "lsl", grid=GRID)
     assert_same_result(warm, cold)
     for a, b in zip(warm.factors, cold.factors):
@@ -185,11 +197,13 @@ def test_one_factorization_is_kept():
     assert np.array_equal(again.T, first.T) and np.array_equal(again.Q, first.Q)
 
 
-@pytest.mark.parametrize("method", ["born", "lsl"])
-def test_given_background_keeps_its_flags_and_is_not_cached(method):
+@pytest.mark.parametrize("method, layout", GIVEN)
+def test_given_background_keeps_its_flags_and_is_not_cached(method, layout):
     data, data0 = cold_datasets("step")
-    V0 = compute_snapshot_matrix(ZeroPotential(), PLAN.lambdas, GRID)
+    V0 = given_background(layout)
+    V, lambdas = V0.V.copy(), V0.lambdas.copy()
     assert V0.V.flags.writeable and V0.lambdas.flags.writeable
     reconstruct(data, data0, method, grid=GRID, background=V0)
     assert V0.V.flags.writeable and V0.lambdas.flags.writeable
-    assert not lslimaging.rom._BACKGROUND
+    assert np.array_equal(V0.V, V) and np.array_equal(V0.lambdas, lambdas)
+    assert not lslimaging.imaging._BACKGROUND

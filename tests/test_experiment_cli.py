@@ -109,6 +109,13 @@ class TestConfigParsing:
         cfg = config_from_mapping({"potential": "gaussian", "gaussian_width": "0.2"}, gaussian_amplitude=3.0)
         assert cfg.potential == GaussianPotential(3.0, 0.5, 0.2)
 
+    def test_typed_potential_is_taken_as_it_is(self):
+        medium = GaussianPotential(3.0, 0.4, 0.1)
+        cfg = preset_config("gaussian", potential=medium)
+        assert cfg.potential is medium and cfg.label == "gaussian"
+        cfg = config_from_mapping({"gaussian_width": "0.2"}, potential=medium)
+        assert cfg.potential is medium and cfg.label == medium.label
+
     def test_keys_of_another_medium_are_ignored(self):
         cfg = config_from_mapping({"potential": "zero", "gaussian_width": "0.2", "step_pieces": "0:1:2"})
         assert cfg.potential == ZeroPotential()
@@ -403,30 +410,41 @@ class TestCli:
         assert code == 1
         assert "load-data" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args, expected", [
+    @pytest.mark.parametrize("args, expected, message", [
         (["reconstruct", "--data", "absent.txt", "--background", "bg.txt", "--method", "born",
-          "--out", "o.txt"], "load-data"),
+          "--out", "o.txt"], "load-data", "[Errno 2] No such file or directory: 'absent.txt'"),
         (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "lsl",
-          "--nodes", "2", "--out", "o.txt"], "reconstruct"),
+          "--nodes", "2", "--out", "o.txt"], "reconstruct", "node count must be an integer >= 3"),
         (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "lsl",
-          "--nodes", "401", "--out", "missing/o.txt"], "write-output"),
+          "--nodes", "401", "--out", "missing/o.txt"], "write-output", "[Errno 2] No such file or directory"),
         (["reconstruct", "--data", "true.txt", "--background", "bg.txt", "--method", "born",
-          "--truncation-tol", "5", "--nodes", "401", "--out", "o.txt"], "reconstruct"),
-        (["simulate", "--config", "bad.cfg", "--out", "o.txt"], "load-config"),
-        (["simulate", "--config", "true.cfg", "--out", "missing/o.txt"], "write-output"),
-        (["experiment", "zero", "--nodes", "2", "--outdir", "run"], "configure"),
-        (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "internal-solution"),
+          "--truncation-tol", "5", "--nodes", "401", "--out", "o.txt"], "reconstruct",
+         "truncation_tol must lie in (0, 1), got 5.0"),
+        (["simulate", "--config", "bad.cfg", "--out", "o.txt"], "load-config",
+         "config line 1: unknown key 'no_such_key'"),
+        (["simulate", "--config", "true.cfg", "--out", "missing/o.txt"], "write-output",
+         "[Errno 2] No such file or directory"),
+        (["experiment", "zero", "--nodes", "2", "--outdir", "run"], "configure", "node count must be an integer >= 3"),
+        (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "internal-solution",
+         "internal_lambda must be finite, got nan"),
         (["experiment", "zero", "--internal-lambda", "0", "--nodes", "401", "--intervals", "3",
-          "--f", "3", "--outdir", "run"], "internal-solution"),
-        (["simulate", "--config", "true.cfg", "--set", "nodes=5", "--out", "o.txt"], "load-config"),
-        (["experiment", "zero", "--methods", "", "--outdir", "run"], "configure"),
-        (["simulate", "--config", "true.cfg", "--set", "methods=", "--out", "o.txt"], "load-config"),
+          "--f", "3", "--outdir", "run"], "internal-solution", "lambda = 0 is within"),
+        (["simulate", "--config", "true.cfg", "--set", "nodes=5", "--out", "o.txt"], "load-config",
+         "unknown key 'nodes'"),
+        (["experiment", "zero", "--methods", "", "--outdir", "run"], "configure", "empty method list"),
+        (["simulate", "--config", "true.cfg", "--set", "methods=", "--out", "o.txt"], "load-config",
+         "empty method list"),
+        (["simulate", "--config", "true.cfg", "--set", "foo", "--out", "o.txt"], "load-config",
+         "--set expects key=value, got 'foo'"),
+        (["experiment", "zero", "--methods", "lsl,lsl", "--outdir", "run"], "configure",
+         "duplicate entries in method list"),
     ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
             "reconstruct-born-truncation-tol",
             "simulate-load-config", "simulate-write-output", "experiment-configure",
             "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key",
-            "experiment-empty-methods", "simulate-empty-methods"])
-    def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected):
+            "experiment-empty-methods", "simulate-empty-methods", "simulate-set-without-equals",
+            "experiment-duplicate-methods"])
+    def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected, message):
         monkeypatch.chdir(tmp_path)
         self._write_config(tmp_path / "true.cfg", "gaussian")
         self._write_config(tmp_path / "bg.cfg", "zero")
@@ -437,6 +455,7 @@ class TestCli:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error in stage '{expected}': ")
+        assert captured.err.startswith(f"error in stage '{expected}': {message}")
         assert captured.out == ""
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):

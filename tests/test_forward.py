@@ -104,6 +104,11 @@ class TestAnalyticBackgroundTransfer:
             analytic_background_transfer(lam + 1e-12, 1.0)
         assert np.isfinite(analytic_background_transfer(lam + 1e-3, 1.0))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_is_named(self, lam):
+        with pytest.raises(ValueError, match=f"finite, got {lam}"):
+            analytic_background_transfer(lam, 1.0)
+
     def test_large_lambda_does_not_overflow(self):
         value = analytic_background_transfer(1e9, 1.0)
         assert value == pytest.approx(1.0 / math.sqrt(1e9), rel=1e-12)
@@ -225,6 +230,14 @@ class TestResolventApply:
         diag[7] = bad
         with pytest.raises(ValueError):
             resolvent_apply(TridiagonalOperator(diag=diag, off=op.off), g, -3.0, np.ones(g.n))
+
+    def test_operator_of_another_grid_rejected(self):
+        g = Grid(L=1.0, n=51)
+        op = assemble_operator(ZeroPotential(), Grid(L=1.0, n=41))
+        with pytest.raises(ValueError, match="operator has 41 rows, the grid 51 nodes"):
+            resolvent_apply(op, g, -3.0, np.ones(g.n))
+        with pytest.raises(ValueError, match="operator has 41 rows, the grid 51 nodes"):
+            operator_eigenvalues(op, g)
 
     def test_operator_is_not_overwritten(self):
         g = Grid(L=1.0, n=51)

@@ -1,6 +1,7 @@
 """Transfer data: measurement, the resolvent-identity derivative, file format."""
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,10 @@ class TestMeasureTransfer:
 class TestTransferDerivative:
     def test_zero_field(self, g):
         assert transfer_derivative(Snapshot(lam=-1.0, values=np.zeros(g.n)), g) == 0.0
+
+    def test_wrong_grid_rejected(self, g):
+        with pytest.raises(ValueError, match="snapshot is not defined on this grid"):
+            transfer_derivative(Snapshot(lam=-1.0, values=np.zeros(7)), g)
 
     def test_unit_field_gives_minus_L(self, g):
         value = transfer_derivative(Snapshot(lam=-1.0, values=np.ones(g.n)), g)
@@ -130,10 +135,12 @@ class TestGenerateDataset:
     def test_equals_a_measurement_of_the_snapshot_matrix(self, g):
         p, lams = GaussianPotential(5.0, 0.5, 0.1), weyl_sample(10, 4, 1.0).lambdas
         data, V = generate_dataset(p, lams, g), compute_snapshot_matrix(p, lams, g)
-        assert V.V.flags.c_contiguous
-        reference = measure_dataset(V, "gaussian")
-        for name in ("lambdas", "F", "dF"):
-            assert np.array_equal(getattr(data, name), getattr(reference, name))
+        assert V.V.flags.f_contiguous
+        # the background model measures a C-ordered copy: the same bits
+        for layout in (V, replace(V, V=np.ascontiguousarray(V.V))):
+            reference = measure_dataset(layout, "gaussian")
+            for name in ("lambdas", "F", "dF"):
+                assert np.array_equal(getattr(data, name), getattr(reference, name))
 
     def test_label_defaults_to_potential_label(self, g):
         data = generate_dataset(ZeroPotential(), [-5.0], g)
@@ -347,6 +354,8 @@ class TestFileFormat:
         ("# L=1 m=one label=x", "header token 'm=one' is not an integer"),
         ("# L=1.0 m=1.0 label=x", "header token 'm=1.0' is not an integer"),
         ("# L=wide m=1 label=x", "header token 'L=wide' is not a number"),
+        ("# L=1 m=1", "malformed header 'L=1 m=1'"),
+        ("# m=1 L=1 label=x", "malformed header 'm=1 L=1 label=x'"),
     ])
     def test_malformed_header_token_names_file_and_token(self, tmp_path, header, message):
         bad = tmp_path / "bad.txt"
