@@ -114,6 +114,7 @@ _CONFIG_KEYS = {
     "potential": str, "gaussian_amplitude": float, "gaussian_center": float,
     "gaussian_width": float, "step_pieces": _parse_step_pieces,
 }
+_MEDIUM_KEYS = ("gaussian_amplitude", "gaussian_center", "gaussian_width", "step_pieces")
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -139,11 +140,14 @@ def _check_key(key: str, where: str = "") -> None:
 def _potential_from_values(values: Mapping[str, object], L: float) -> Potential:
     """The preset medium of kind `potential` (default zero), with its parsed keys applied.
 
-    Keys that describe another kind of medium are ignored, and so are all of
-    them when `potential` is a Potential, which is taken as it is.
+    Keys that describe another kind of medium are ignored. A Potential is
+    taken as it is, and may come with none of these keys.
     """
     kind = values.get("potential", "zero")
     if isinstance(kind, Potential):
+        keys = [key for key in _MEDIUM_KEYS if key in values]
+        if keys:
+            raise ValueError(f"a Potential is taken as it is; {', '.join(keys)} cannot modify it")
         return kind
     if kind not in PRESETS:
         raise ValueError(f"unknown potential kind {kind!r}")

@@ -76,12 +76,8 @@ def assemble_system(
     _check_alignment(data, data0, V0, grid)
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
-    return ImagingSystem(A=_system_matrix(V0, W), d=data0.F - data.F, grid=grid, method=method)
-
-
-def _system_matrix(V0: SnapshotMatrix, W: np.ndarray) -> np.ndarray:
-    """A of assemble_system: row j is weights * V0.V[:, j] * W[:, j]."""
-    return (V0.grid.weights[:, None] * V0.V * W).T
+    A = (grid.weights[:, None] * V0.V * W).T
+    return ImagingSystem(A=A, d=data0.F - data.F, grid=grid, method=method)
 
 
 def solve_regularized(
@@ -185,8 +181,8 @@ def reconstruct(
     V0 = model.V0
     _check_alignment(data, data0, V0, grid)
     if method == "born":
-        factors = model.born  # first, so that its A is freed before the system's is made
-        return _solve(assemble_system(data, data0, V0, V0.V, method=method), factors, rel_threshold)
+        system = assemble_system(data, data0, V0, V0.V, method=method)
+        return _solve(system, model.born(system.A), rel_threshold)
     factors = (model.factors(data0, truncation_tol), lanczos(build_loewner(data), truncation_tol))
     # the fields are freed once assembled, which lowers the solve's memory peak
     system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas), method=method)
@@ -220,7 +216,7 @@ class _Background:
 
     V0 is a copy of the snapshots it is given, V in C order; on first use come
     the data0 measured from them, the Lanczos factors of the last background
-    data asked for, `born` (the Born system's TSVD factorization), field() and
+    data asked for, born() (the Born system's TSVD factorization), field() and
     nodes_text. None depends on the medium imaged, and all are read-only. A
     kept model (_background) holds 2 * n * m * 8 bytes and, at n = 2001,
     about 0.3 MB of text; the rest is O(m^2) or O(n).
@@ -230,15 +226,16 @@ class _Background:
         V, lambdas = np.array(V0.V, order="C"), np.array(V0.lambdas)
         _read_only(V, lambdas)
         self.V0 = SnapshotMatrix(V=V, grid=V0.grid, lambdas=lambdas)
+        self._born: Optional[Tuple[np.ndarray, ...]] = None
         self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
         self._field: Tuple = (None, None, None)  # (lam, values, _Text) of the last lam
 
-    @cached_property
-    def born(self) -> Tuple[np.ndarray, ...]:
-        """_factor of the Born system's A, which depends on V0 alone."""
-        born = _factor(_system_matrix(self.V0, self.V0.V))
-        _read_only(*born)
-        return born
+    def born(self, A: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """_factor(A) of the Born system's A, which depends on V0 alone; the first one is kept."""
+        if self._born is None:
+            self._born = _factor(A)
+            _read_only(*self._born)
+        return self._born
 
     @cached_property
     def nodes_text(self) -> _Text:

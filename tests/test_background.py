@@ -138,10 +138,10 @@ def test_every_cached_array_is_read_only(tmp_path):
     run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
     _, factors = background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
     model = cached_model()
-    assert model.born is not None
+    assert model._born is not None  # kept by run_experiment's Born reconstruct
     field, _ = model.field(default_internal_lambda(PLAN.lambdas))
     arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
-              factors.T, factors.Q, *model.born, field]
+              factors.T, factors.Q, *model._born, field]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -166,8 +166,9 @@ def test_one_plan_is_kept():
 
 def test_warm_experiment_solves_only_the_true_medium(tmp_path, monkeypatch):
     run_experiment(preset_config("step", outdir=tmp_path / "cold", **FAST))
-    solves, lanczos_calls = [], []
+    solves, lanczos_calls, factor_calls = [], [], []
     resolvent_apply, lanczos = lslimaging.forward.resolvent_apply, lslimaging.rom.lanczos
+    factor = lslimaging.imaging._factor
 
     def counting_solve(*args, **kwargs):
         solves.append(args[2])
@@ -177,13 +178,19 @@ def test_warm_experiment_solves_only_the_true_medium(tmp_path, monkeypatch):
         lanczos_calls.append(args)
         return lanczos(*args, **kwargs)
 
+    def counting_factor(A):
+        factor_calls.append(A.shape)
+        return factor(A)
+
     monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting_solve)
+    monkeypatch.setattr(lslimaging.imaging, "_factor", counting_factor)
     for name, module in list(sys.modules.items()):
         if name.startswith("lslimaging.") and getattr(module, "lanczos", None) is lanczos:
             monkeypatch.setattr(module, "lanczos", counting_lanczos)
     run_experiment(preset_config("gaussian", outdir=tmp_path / "warm", **FAST))
     assert len(solves) == FAST["N"] * FAST["f"] + 1
     assert len(lanczos_calls) == 1
+    assert len(factor_calls) == 1  # the LSL system's; the Born factorization is the kept one
 
 
 def test_one_factorization_is_kept():

@@ -113,8 +113,11 @@ class TestConfigParsing:
         medium = GaussianPotential(3.0, 0.4, 0.1)
         cfg = preset_config("gaussian", potential=medium)
         assert cfg.potential is medium and cfg.label == "gaussian"
-        cfg = config_from_mapping({"gaussian_width": "0.2"}, potential=medium)
+        cfg = config_from_mapping({}, potential=medium)
         assert cfg.potential is medium and cfg.label == medium.label
+        for key, value in (("gaussian_width", 0.2), ("step_pieces", "0:1:2")):
+            with pytest.raises(ValueError, match=f"{key} cannot modify it"):
+                config_from_mapping({key: value}, potential=medium)
 
     def test_keys_of_another_medium_are_ignored(self):
         cfg = config_from_mapping({"potential": "zero", "gaussian_width": "0.2", "step_pieces": "0:1:2"})
