@@ -118,7 +118,7 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as first:
             run_experiment(preset_config("gaussian", outdir=first))
         run_experiment(preset_config("step", outdir=work / "inproc-step"))
-        # the kept model now holds the field at the default internal_lambda
+        # run_experiment now keeps the background field at the default internal_lambda
         run_experiment(preset_config("gaussian", internal_lambda=LAMBDA, outdir=work / "inproc-gaussian-lambda"))
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":

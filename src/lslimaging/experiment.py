@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -22,7 +23,7 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
-from .transfer import _FMT, _check_label, _write_rows, generate_dataset, save_dataset
+from .transfer import _FMT, DataSet, _check_label, _Text, _write_rows, generate_dataset, save_dataset
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -189,8 +190,9 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Whitespace-separated table: one header line, 17-significant-digit rows.
 
-    A column is an array, or a transfer._Text written as is. Raises
-    ValueError unless there is one equal-length column per name.
+    A column is an array, or a transfer._Text written as is, as run_experiment
+    passes the node and background-field text it keeps. Raises ValueError
+    unless there is one equal-length column per name.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
@@ -211,6 +213,15 @@ def default_internal_lambda(lambdas: np.ndarray) -> float:
         return float(lambdas[0] * 0.5)
     j = lambdas.size // 2 - 1
     return float(0.5 * (lambdas[j] + lambdas[j + 1]))
+
+
+@lru_cache(maxsize=1)
+def _background_columns(L: float, n: int, lam: float) -> Tuple[_Text, np.ndarray, _Text]:
+    """Columns no medium changes: the node text and the read-only background field at lam, with its text."""
+    grid = Grid(L, n)
+    u = solve_forward(ZeroPotential(), lam, grid).values
+    u.flags.writeable = False
+    return _Text(grid.nodes), u, _Text(u)
 
 
 def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
@@ -243,7 +254,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
                                 label=f"{config.label}-true")
     with stage("simulate-background"):
         background = _background(grid, plan.lambdas)
-        data0 = background.dataset(f"{config.label}-background")
+        d = background.data0
+        data0 = DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=f"{config.label}-background")
 
     results: Dict[str, ReconstructionResult] = {}
     for method in config.methods:
@@ -257,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     with stage("internal-solution"):
         lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
         u_true = solve_forward(config.potential, lam_star, grid).values
-        u_bg, u_bg_text = background.field(lam_star)
+        nodes_text, u_bg, u_bg_text = _background_columns(grid.L, grid.n, lam_star)
         u_lsl = (lsl_internal(background.V0, *results["lsl"].factors, lam_star).values
                  if "lsl" in results else np.full(grid.n, np.nan))
 
@@ -267,11 +279,11 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         paths = {name.split(".")[0]: outdir / name for name in OUTPUT_FILES}
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
-        _write_reconstruction(paths["reconstruction"], background.nodes_text, p_true, results)
+        _write_reconstruction(paths["reconstruction"], nodes_text, p_true, results)
         write_table(
             paths["internal_solution"],
             ("x", "u_true", "u_background", "u_lsl"),
-            (background.nodes_text, u_true, u_bg_text, u_lsl),
+            (nodes_text, u_true, u_bg_text, u_lsl),
         )
 
         lines = [

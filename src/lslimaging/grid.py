@@ -16,7 +16,7 @@ class Grid:
         L = float(L)
         if not np.isfinite(L) or L <= 0.0:
             raise ValueError(f"domain length must be positive and finite, got {L}")
-        if int(n) != n or n < 3:
+        if not np.isfinite(n) or int(n) != n or n < 3:
             raise ValueError(f"node count must be an integer >= 3, got {n}")
         self.L = L
         self.n = int(n)

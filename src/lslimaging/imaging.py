@@ -14,11 +14,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateSystemError, SampleAlignmentError
-from .forward import SnapshotMatrix, compute_snapshot_matrix, solve_forward
+from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
-from .transfer import DataSet, _Text, measure_dataset
+from .transfer import DataSet, measure_dataset
 
 DEFAULT_REL_THRESHOLD = 1e-8
 DEFAULT_GRID_NODES = 2001
@@ -203,6 +203,7 @@ def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> floa
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
     """Convenience: the cached background model's V0 and Lanczos factors of data0 (shared, read-only)."""
     model = _background(grid, data0.lambdas)
+    _check_alignment(data0, data0, model.V0, grid)
     return model.V0, model.factors(data0, truncation_tol)
 
 
@@ -216,10 +217,9 @@ class _Background:
 
     V0 is a copy of the snapshots it is given, V in C order; on first use come
     the data0 measured from them, the Lanczos factors of the last background
-    data asked for, born() (the Born system's TSVD factorization), field() and
-    nodes_text. None depends on the medium imaged, and all are read-only. A
-    kept model (_background) holds 2 * n * m * 8 bytes and, at n = 2001,
-    about 0.3 MB of text; the rest is O(m^2) or O(n).
+    data asked for and born() (the Born system's TSVD factorization). None
+    depends on the medium imaged, and all are read-only. A kept model
+    (_background) holds 2 * n * m * 8 bytes; the rest is O(m^2).
     """
 
     def __init__(self, V0: SnapshotMatrix):
@@ -228,7 +228,6 @@ class _Background:
         self.V0 = SnapshotMatrix(V=V, grid=V0.grid, lambdas=lambdas)
         self._born: Optional[Tuple[np.ndarray, ...]] = None
         self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
-        self._field: Tuple = (None, None, None)  # (lam, values, _Text) of the last lam
 
     def born(self, A: np.ndarray) -> Tuple[np.ndarray, ...]:
         """_factor(A) of the Born system's A, which depends on V0 alone; the first one is kept."""
@@ -238,25 +237,8 @@ class _Background:
         return self._born
 
     @cached_property
-    def nodes_text(self) -> _Text:
-        return _Text(self.V0.grid.nodes)
-
-    def field(self, lam: float) -> Tuple[np.ndarray, _Text]:
-        """solve_forward's zero-potential field at lam and its _FMT text, kept for the last lam."""
-        if self._field[0] != lam:
-            u = solve_forward(ZeroPotential(), lam, self.V0.grid).values
-            _read_only(u)
-            self._field = (lam, u, _Text(u))
-        return self._field[1:]
-
-    @cached_property
     def data0(self) -> DataSet:
         return measure_dataset(self.V0, label="")
-
-    def dataset(self, label: str) -> DataSet:
-        """The measured data0, labelled."""
-        d = self.data0
-        return DataSet(d.L, np.column_stack((d.lambdas, d.F, d.dF)), label=label)
 
     def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
         """lanczos(build_loewner(data0), truncation_tol) for data0 on the model's sample points,

@@ -72,13 +72,18 @@ class StepPotential(Potential):
     pieces: Tuple[Tuple[float, float, float], ...]
 
     def __post_init__(self):
-        pieces = tuple(tuple(float(v) for v in p) for p in self.pieces)
-        for lo, hi, val in pieces:
+        pieces = []
+        for piece in self.pieces:
+            try:
+                lo, hi, val = map(float, piece)
+            except (TypeError, ValueError):
+                raise ValueError(f"step piece must be three numbers (lo, hi, value), got {piece!r}") from None
             if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(val)):
                 raise ValueError(f"non-finite step piece ({lo}, {hi}, {val})")
             if lo >= hi:
                 raise ValueError(f"step piece needs lo < hi, got ({lo}, {hi})")
-        object.__setattr__(self, "pieces", pieces)
+            pieces.append((lo, hi, val))
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         x = grid.nodes

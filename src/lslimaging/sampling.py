@@ -41,9 +41,9 @@ def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
     returned sorted ascending; every point is strictly negative and at
     least |r_{k+1} - r_k|/(f+1) away from its interval's endpoints.
     """
-    if int(N) != N or N < 1:
+    if not np.isfinite(N) or int(N) != N or N < 1:
         raise ValueError(f"interval count N must be an integer >= 1, got {N}")
-    if int(f) != f or f < 1:
+    if not np.isfinite(f) or int(f) != f or f < 1:
         raise ValueError(f"points per interval f must be an integer >= 1, got {f}")
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"domain length must be positive, got {L}")

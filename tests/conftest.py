@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import lslimaging.experiment
 import lslimaging.imaging
 from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential
 
@@ -45,8 +46,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def cold_background():
-    """Every test starts without a cached background model, so call counts are those of a cold run."""
+    """Every test starts with no kept background model or output columns, so call counts are a cold run's."""
     lslimaging.imaging._BACKGROUND.clear()
+    lslimaging.experiment._background_columns.cache_clear()
 
 
 @pytest.fixture(scope="session")

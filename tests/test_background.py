@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lslimaging.experiment
 import lslimaging.forward
 import lslimaging.imaging
 import lslimaging.rom
 from lslimaging import (
     DataSet,
     Grid,
+    SampleAlignmentError,
     ZeroPotential,
     background_rom,
     compute_snapshot_matrix,
@@ -23,7 +25,7 @@ from lslimaging import (
     solve_forward,
     weyl_sample,
 )
-from lslimaging.experiment import default_internal_lambda
+from lslimaging.experiment import _background_columns, default_internal_lambda
 from lslimaging.transfer import _FMT
 
 FAST = dict(n=401, N=3, f=3)
@@ -33,6 +35,12 @@ PLAN = weyl_sample(FAST["N"], FAST["f"], 1.0)
 
 def digests(paths):
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+
+
+def clear_caches():
+    """Drop the kept background model and output columns, so the next run is cold."""
+    lslimaging.imaging._BACKGROUND.clear()
+    lslimaging.experiment._background_columns.cache_clear()
 
 
 def cached_model():
@@ -56,7 +64,7 @@ def assert_same_result(a, b):
 def test_warm_run_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
     run_experiment(preset_config(first, outdir=tmp_path / "first", **FAST))
     warm = digests(run_experiment(preset_config(second, outdir=tmp_path / "warm", **FAST)))
-    lslimaging.imaging._BACKGROUND.clear()
+    clear_caches()
     cold = digests(run_experiment(preset_config(second, outdir=tmp_path / "cold", **FAST)))
     assert warm == cold
 
@@ -66,32 +74,36 @@ def test_warm_run_with_another_internal_lambda_writes_the_bytes_of_a_cold_run(tm
     run_experiment(preset_config("gaussian", outdir=tmp_path / "first", internal_lambda=first, **FAST))
     config = preset_config("step", outdir=tmp_path / "warm", internal_lambda=second, **FAST)
     warm = digests(run_experiment(config))
-    lslimaging.imaging._BACKGROUND.clear()
+    clear_caches()
     cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
     assert warm == cold
 
 
-def test_warm_run_on_another_grid_writes_the_bytes_of_a_cold_run(tmp_path):
-    run_experiment(preset_config("gaussian", outdir=tmp_path / "first", **FAST))
-    config = preset_config("step", outdir=tmp_path / "warm", **{**FAST, "n": 201})
+# the second case keeps internal_lambda and changes L only, so a field kept without L in its key shows
+@pytest.mark.parametrize("first, second", [
+    pytest.param({}, {"n": 201}, id="another-n"),
+    pytest.param({"internal_lambda": -30.0}, {"L": 2.0, "internal_lambda": -30.0}, id="another-L"),
+])
+def test_warm_run_on_another_grid_writes_the_bytes_of_a_cold_run(tmp_path, first, second):
+    run_experiment(preset_config("gaussian", outdir=tmp_path / "first", **FAST, **first))
+    config = preset_config("step", outdir=tmp_path / "warm", **{**FAST, **second})
     warm = digests(run_experiment(config))
-    lslimaging.imaging._BACKGROUND.clear()
+    clear_caches()
     cold = digests(run_experiment(replace(config, outdir=tmp_path / "cold")))
     assert warm == cold
 
 
 def test_kept_text_is_the_format_of_the_kept_arrays(tmp_path):
     run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
-    model = cached_model()
     lam = default_internal_lambda(PLAN.lambdas)
-    u, text = model.field(lam)
-    assert model.field(lam)[1] is text  # the field at the last lam is kept
+    nodes_text, u, text = _background_columns(GRID.L, GRID.n, lam)
+    assert _background_columns(GRID.L, GRID.n, lam)[2] is text  # the field at the last lam is kept
     assert np.array_equal(u, solve_forward(ZeroPotential(), lam, GRID).values)
     assert text == tuple(_FMT % v for v in u.tolist())
-    assert model.nodes_text == tuple(_FMT % v for v in GRID.nodes.tolist())
-    other, other_text = model.field(-30.0)  # a new lam replaces it
+    assert nodes_text == tuple(_FMT % v for v in GRID.nodes.tolist())
+    _, other, other_text = _background_columns(GRID.L, GRID.n, -30.0)  # a new lam replaces it
     assert other_text == tuple(_FMT % v for v in other.tolist())
-    again, again_text = model.field(lam)
+    _, again, again_text = _background_columns(GRID.L, GRID.n, lam)
     assert again_text is not text and again_text == text and np.array_equal(again, u)
 
 
@@ -139,7 +151,7 @@ def test_every_cached_array_is_read_only(tmp_path):
     _, factors = background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
     model = cached_model()
     assert model._born is not None  # kept by run_experiment's Born reconstruct
-    field, _ = model.field(default_internal_lambda(PLAN.lambdas))
+    _, field, _ = _background_columns(GRID.L, GRID.n, default_internal_lambda(PLAN.lambdas))
     arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
               factors.T, factors.Q, *model._born, field]
     for a in arrays:
@@ -202,6 +214,12 @@ def test_one_factorization_is_kept():
     again = background_rom(data0, GRID)[1]
     assert again is not first  # so going back recomputes, bit for bit
     assert np.array_equal(again.T, first.T) and np.array_equal(again.Q, first.Q)
+
+
+def test_background_rom_rejects_data_of_another_length():
+    data0 = generate_dataset(ZeroPotential(), weyl_sample(2, 2, 2.0).lambdas, Grid(2.0, 101))
+    with pytest.raises(SampleAlignmentError):
+        background_rom(data0, GRID)
 
 
 @pytest.mark.parametrize("method, layout", GIVEN)

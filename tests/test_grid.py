@@ -33,9 +33,10 @@ def test_inner_product_of_ones_is_L():
     assert g.norm(ones) == pytest.approx(np.sqrt(3.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("L,n", [(0.0, 11), (-1.0, 11), (np.inf, 11), (1.0, 2), (1.0, 2.5)])
+@pytest.mark.parametrize("L,n", [(0.0, 11), (-1.0, 11), (np.inf, 11), (1.0, 2), (1.0, 2.5), (1.0, np.inf),
+                                 (1.0, np.nan)])
 def test_invalid_arguments_rejected(L, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be"):  # the module's message, not int()'s
         Grid(L, n)
 
 

@@ -51,6 +51,8 @@ def test_step_validation():
         StepPotential(((0.6, 0.4, 1.0),))
     with pytest.raises(ValueError):
         StepPotential(((0.0, np.inf, 1.0),))
+    with pytest.raises(ValueError, match="step piece"):
+        StepPotential(((0.1, 0.2),))
 
 
 def test_constant_potential_covers_domain(g):

@@ -27,9 +27,10 @@ def test_resonances_are_squared_multiples():
     assert np.allclose(r, [0.0, -(np.pi / 2) ** 2, -(np.pi) ** 2, -(1.5 * np.pi) ** 2])
 
 
-@pytest.mark.parametrize("N,f,L", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (2.5, 1, 1.0), (1, 1, -3.0)])
+@pytest.mark.parametrize("N,f,L", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (2.5, 1, 1.0), (1, 1, -3.0),
+                                   (np.inf, 1, 1.0), (np.nan, 1, 1.0), (1, np.inf, 1.0), (1, np.nan, 1.0)])
 def test_invalid_arguments_rejected(N, f, L):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be"):  # the module's message, not int()'s
         weyl_sample(N, f, L)
 
 
