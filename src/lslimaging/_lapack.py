@@ -1,38 +1,133 @@
-"""The three LAPACK routines the package calls, from scipy's compiled wrappers.
+"""The five LAPACK routines the package calls, bound with ctypes on numpy's own library.
 
-This relies on one piece of scipy's layout: its f2py LAPACK wrappers are the
-extension module `scipy/linalg/_flapack<EXT_SUFFIX>` (`scipy/linalg/_flapack*`,
-present at least since scipy 1.8, so inside the `scipy>=1.10` requirement of
-pyproject.toml). The module is loaded by file path. `find_spec("scipy")`
-locates the package without executing `scipy/__init__`, so neither scipy's
-nor scipy.linalg's package initialization runs; that initialization was most
-of the command line's start-up time. A missing file raises ImportError
-naming the directory searched; there is no other route to these routines.
+numpy's wheels link one OpenBLAS, LAPACK included, into numpy.linalg._umath_linalg,
+and every matmul and numpy.linalg call runs on it; binding the routines there keeps
+one BLAS and one thread pool in the process, and scipy is never imported. The names
+are ILP64, scipy_<name>_64_ (numpy >= 2) or <name>_64_ (numpy 1.2x): every integer
+is an int64 passed by reference, and each CHARACTER argument adds a hidden size_t
+length at the end. A library without them raises ImportError naming the symbol and
+the file, with no other route; a nonzero INFO raises numpy.linalg.LinAlgError.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-from pathlib import Path
+import ctypes
+from typing import Optional, Tuple
+
+import numpy as np
+import numpy.linalg._umath_linalg
+
+# name: (arguments, INFO included, all by pointer; how many are CHARACTER)
+_ROUTINES = {"dgtsv": (8, 0), "dstebz": (18, 2), "dstevd": (11, 1), "dgeqrt": (9, 0), "dgemqrt": (14, 2)}
 
 
-def _load_flapack():
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("scipy is not installed; lslimaging needs its compiled LAPACK wrappers")
-    linalg_dir = Path(spec.submodule_search_locations[0]) / "linalg"
-    path = linalg_dir / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if not path.is_file():
-        raise ImportError(f"scipy's compiled LAPACK wrappers (_flapack) not found in {linalg_dir}")
-    # scipy's own name: the module's init symbol follows it, and a later
-    # `import scipy.linalg` finds this module loaded instead of loading a copy
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _bind(path: str, *names: str):
+    """The LAPACK routines `names` of the library at path, as ctypes functions."""
+    lib = ctypes.CDLL(path)
+    routines = []
+    for name in names:
+        symbols = (f"scipy_{name}_64_", f"{name}_64_")
+        fn = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+        if fn is None:
+            raise ImportError(f"LAPACK symbol {' or '.join(symbols)} not found in {path}")
+        args, chars = _ROUTINES[name]
+        fn.argtypes, fn.restype = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars, None
+        routines.append(fn)
+    return routines
 
 
-_flapack = _load_flapack()
-dstebz = _flapack.dstebz
-dgtsv = _flapack.dgtsv
-dstevd = _flapack.dstevd
+_GTSV, _STEBZ, _STEVD, _GEQRT, _GEMQRT = _bind(numpy.linalg._umath_linalg.__file__, *_ROUTINES)
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+_ONE = ctypes.byref(ctypes.c_int64(1))  # LAPACK only reads it
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _buffer(a: np.ndarray):
+    # a pointer that keeps a alive, at a third of a.ctypes' cost; from_buffer raises TypeError
+    # unless a.T is writable and C-contiguous, that is, unless a is writable and column-major
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
+
+
+def _ptr(a: np.ndarray, dtype=_F64):
+    """A pointer to a's data, which must hold `dtype` in column-major order; it keeps a alive."""
+    if a.dtype != dtype or not a.flags.f_contiguous:
+        raise ValueError(f"LAPACK needs a column-major {dtype} array, got {a.dtype} with strides {a.strides}")
+    return _buffer(a) if a.flags.writeable else a.ctypes.data_as(ctypes.c_void_p)
+
+
+def _check(name: str, info: ctypes.c_int64) -> None:
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info.value})")
+
+
+def dgtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonals dl, d, du for the
+    n values b. All four are overwritten, b with the solution, which is returned; the
+    checks are inlined for the forward sweep, and _buffer requires writable arrays."""
+    n = d.size
+    if not (d.shape == b.shape == (n,) and dl.shape == du.shape == (n - 1,)
+            and dl.dtype == d.dtype == du.dtype == b.dtype == _F64):
+        raise ValueError(f"gtsv needs n-1, n, n-1 and n float64 values, got {dl.shape} {d.shape} {du.shape}")
+    size, info = _int(n), ctypes.c_int64()
+    _GTSV(size, _ONE, _buffer(dl), _buffer(d), _buffer(du), _buffer(b), size, ctypes.byref(info))
+    _check("gtsv", info)
+    return b
+
+
+def dstebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> int:
+    """The number of eigenvalues in (vl, vu] of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e: stebz's count by bisection, at absolute tolerance 0."""
+    n = d.size
+    if e.shape != (n - 1,):
+        raise ValueError(f"stebz needs n-1 off-diagonal values, got {e.shape} for n = {n}")
+    count, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    ints = np.empty((n, 5), dtype=_I64, order="F")  # IBLOCK, ISPLIT and the 3n of IWORK
+    vl, vu, tol = (ctypes.byref(ctypes.c_double(x)) for x in (vl, vu, 0.0))
+    _STEBZ(b"V", b"E", _int(n), vl, vu, _ONE, _ONE, tol, _ptr(d), _ptr(e), ctypes.byref(count),
+           ctypes.byref(nsplit), _ptr(np.empty(n)), _ptr(ints[:, 0], _I64), _ptr(ints[:, 1], _I64),
+           _ptr(np.empty(4 * n)), _ptr(ints[:, 2:], _I64), ctypes.byref(info), 1, 1)
+    _check("stebz", info)
+    return count.value
+
+
+def dstevd(d: np.ndarray, e: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(w, Z): eigenvalues (ascending) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, and its eigenvectors as Z's columns when `vectors`, else None."""
+    n = d.size
+    if e.shape != (n - 1,):
+        raise ValueError(f"stevd needs n-1 off-diagonal values, got {e.shape} for n = {n}")
+    # stevd destroys e; the spare slot gives a 1 x 1 matrix a buffer to point at
+    w, e, info = np.array(d, dtype=float), np.append(np.asarray(e, dtype=float), 0.0), ctypes.c_int64()
+    Z = np.empty((n, n) if vectors else (1, 1), order="F")
+    lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if vectors else (1, 1)
+    _STEVD(b"V" if vectors else b"N", _int(n), _ptr(w), _ptr(e), _ptr(Z), _int(Z.shape[0]), _ptr(np.empty(lwork)),
+           _int(lwork), _ptr(np.empty(liwork, dtype=_I64), _I64), _int(liwork), ctypes.byref(info), 1)
+    _check("stevd", info)
+    return w, (Z if vectors else None)
+
+
+def dgeqrt(a: np.ndarray, nb: int) -> np.ndarray:
+    """Blocked Householder QR a = Q R of the column-major M x N matrix a, in place: R in its
+    upper triangle, the unit lower trapezoidal reflectors V below. Q is the product of one
+    block reflector I - V_j T_j V_j^T per block j of nb columns, and the returned
+    nb x min(M, N) array holds the upper triangular T_j side by side."""
+    m, n = a.shape
+    T, info = np.empty((nb, min(m, n)), order="F"), ctypes.c_int64()
+    _GEQRT(_int(m), _int(n), _int(nb), _ptr(a), _int(m), _ptr(T), _int(nb), _ptr(np.empty(nb * n)),
+           ctypes.byref(info))
+    _check("geqrt", info)
+    return T
+
+
+def dgemqrt(V: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Overwrite the vector c with Q c, Q being the factor of dgeqrt's (V, T); returns c."""
+    (m, cols), (nb, k) = V.shape, T.shape
+    if c.shape != (m,) or cols < k:
+        raise ValueError(f"gemqrt: reflectors {V.shape} and T {T.shape} do not fit a vector {c.shape}")
+    info = ctypes.c_int64()
+    _GEMQRT(b"L", b"N", _int(m), _ONE, _int(k), _int(nb), _ptr(V), _int(m), _ptr(T), _int(nb), _ptr(c), _int(m),
+            _ptr(np.empty(nb)), ctypes.byref(info), 1, 1)
+    _check("gemqrt", info)
+    return c

@@ -128,16 +128,13 @@ def operator_eigenvalues(op: TridiagonalOperator, grid: Grid) -> np.ndarray:
     These are the eigenvalues of the pencil (A, D) with D = weights/h,
     i.e. of the plain collocation matrix before row scaling; for p = 0
     they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. The route is
-    LAPACK stevd on the D-scaled diagonals, eigenvalues only: the driver
-    scipy.linalg.eigvalsh_tridiagonal uses for the full spectrum, so the
-    values are bitwise its.
+    LAPACK stevd on the D-scaled diagonals, eigenvalues only (see `_lapack`):
+    the driver scipy.linalg.eigvalsh_tridiagonal uses for the full spectrum,
+    whose values these equal bitwise.
     """
     _check_size(op, grid)
     _, bd, be, *_ = op._pencil
-    w, _, info = _STEVD(bd, be, compute_v=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stevd failed (LAPACK info={info})")
-    return w
+    return _STEVD(bd, be, vectors=False)[0]
 
 
 def _check_size(op: TridiagonalOperator, grid: Grid) -> None:
@@ -159,8 +156,7 @@ def resolvent_apply(
     within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue, and
     ValueError when lambda or the source is not finite.
 
-    The route, per call, runs LAPACK routines from scipy's compiled f2py
-    wrappers, loaded without scipy.linalg's package initialization (see
+    The route, per call, runs LAPACK routines of numpy's own library (see
     `_lapack`). The guard looks at the window [-lambda - reach,
     -lambda + reach], reach being the tolerance plus _STURM_SLACK * ||A||.
     When the window meets one of the operator's eigenvalue enclosure
@@ -171,34 +167,28 @@ def resolvent_apply(
     every computed eigenvalue is more than reach from -lambda, so the count
     could not have led to a raise and is skipped: the result is the same
     solve either way. gtsv then solves the tridiagonal system: the routines
-    and inputs of eigvalsh_tridiagonal and solve_banded, so the solution is
-    bitwise theirs. The D-scaled diagonals, the ||A|| bound and the
-    enclosure are computed once per operator.
+    and inputs of scipy's eigvalsh_tridiagonal and solve_banded, whose
+    solution this equals bitwise. The D-scaled diagonals, the ||A|| bound
+    and the enclosure are computed once per operator.
     """
-    if not np.isfinite(lam):
+    if not math.isfinite(lam):
         raise ValueError(f"spectral parameter must be finite, got {lam}")
     _check_size(op, grid)
     dw, bd, be, bound, mu, lo, hi = op._pencil
     rhs = dw * source
-    if rhs.shape != (op.n,) or not np.all(np.isfinite(rhs)):
+    if rhs.shape != (op.n,) or not np.isfinite(rhs).all():
         raise ValueError(f"source must be {op.n} finite values")
     tol = RESONANCE_RTOL * max(1.0, abs(lam))
     reach = tol + _STURM_SLACK * bound
     # the lowest enclosure interval that ends at or above the window's low end
     k = bisect.bisect_left(mu, -lam - reach - hi)
     if k < op.n and mu[k] + lo <= -lam + reach:
-        hits, _, _, _, info = _STEBZ(bd, be, 1, -lam - reach, -lam + reach, 1, 1, 0.0, "E")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"stebz failed (LAPACK info={info})")
-        if hits:
+        if _STEBZ(bd, be, -lam - reach, -lam + reach):
             distance = float(np.min(np.abs(lam + operator_eigenvalues(op, grid))))
             if distance < tol:
                 raise ResonanceProximityError(lam, distance)
-    # op.off is passed twice and copied by the wrapper: gtsv overwrites dl and du
-    _, _, _, u, info = _GTSV(op.off, op.diag + lam * dw, op.off, rhs, 0, 1, 0, 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gtsv failed (LAPACK info={info})")
-    return u
+    # gtsv overwrites all four arrays, so op.off goes in as two copies
+    return _GTSV(op.off.copy(), op.diag + lam * dw, op.off.copy(), rhs)
 
 
 def solve_forward(p: Potential, lam: float, grid: Grid) -> Snapshot:

@@ -13,6 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ._lapack import dgemqrt, dgeqrt
 from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
@@ -22,6 +23,8 @@ from .transfer import DataSet, measure_dataset
 
 DEFAULT_REL_THRESHOLD = 1e-8
 DEFAULT_GRID_NODES = 2001
+# dgeqrt's block width: 32 columns of A^T per compact-WY block
+_QR_BLOCK = 32
 
 METHODS = ("born", "lsl")
 
@@ -48,10 +51,11 @@ class ReconstructionResult:
     factors: Optional[Tuple[LanczosFactors, LanczosFactors]] = None
 
 
-def _check_alignment(data: DataSet, data0: DataSet, V0: SnapshotMatrix, grid: Grid) -> None:
+def _check_alignment(data: DataSet, data0: DataSet, grid: Grid, V0: Optional[SnapshotMatrix]) -> None:
+    """Both datasets, the grid and V0 (unless None) share L, the grid and the sample points."""
     lams = data.lambdas
-    if (data.L != data0.L or grid.L != data.L or V0.grid != grid
-            or not np.array_equal(lams, data0.lambdas) or not np.array_equal(lams, V0.lambdas)):
+    if (data.L != data0.L or grid.L != data.L or not np.array_equal(lams, data0.lambdas)
+            or V0 is not None and (V0.grid != grid or not np.array_equal(lams, V0.lambdas))):
         raise SampleAlignmentError(
             "true and background datasets and the background snapshots must share "
             "L, the grid and identical sample points"
@@ -73,7 +77,7 @@ def assemble_system(
     on V0's grid, and all three inputs must share the sample points.
     """
     grid = V0.grid
-    _check_alignment(data, data0, V0, grid)
+    _check_alignment(data, data0, grid, V0)
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
     A = (grid.weights[:, None] * V0.V * W).T
@@ -89,38 +93,36 @@ def solve_regularized(
     returned result records the full spectrum, the retained rank, and the
     recomputed residual norm.
 
-    The route, for every shape of A: a Householder QR of A^T, the reduced SVD
-    of its upper-trapezoidal factor R (square when A is wide, as imaging
-    systems are), and Q applied to a short vector through its reflectors, so
-    the long orthogonal factor of A's SVD is never formed. All in numpy;
-    scipy's LAPACK links another OpenBLAS build, which measured slower at 2
-    threads. It is a factor step (_factor), which depends on A alone, then a
-    solve step (_solve) for d.
+    The route, for every shape of A: a blocked Householder QR of A^T (LAPACK
+    geqrt), the reduced SVD of its upper-trapezoidal factor R (square when A
+    is wide, as imaging systems are), and Q applied to one short vector
+    (gemqrt), so the long orthogonal factor of A's SVD is never formed. It is
+    a factor step (_factor), which depends on A alone, then a solve step
+    (_solve) for d.
     """
     _check_fraction("rel_threshold", rel_threshold)
     return _solve(system, _factor(system.A), rel_threshold)
 
 
 def _factor(A: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(h, tau, U, s, Vt): the raw Householder QR of A^T = Q R, then R = U diag(s) Vt."""
-    h, tau = np.linalg.qr(A.T, mode="raw")
-    # row i of h holds reflector i below its unit head; contiguous rows make the loop fast
-    h = np.ascontiguousarray(h)
-    U, s, Vt = np.linalg.svd(np.triu(h[:, :tau.size].T), full_matrices=False)
-    return h, tau, U, s, Vt
+    """(V, T, U, s, Vt): the blocked QR A^T = Q R (dgeqrt's reflectors V and T), then R = U diag(s) Vt."""
+    V = np.array(A.T, order="F")
+    T = dgeqrt(V, min(_QR_BLOCK, *V.shape))
+    U, s, Vt = np.linalg.svd(np.triu(V[:T.shape[1]]), full_matrices=False)
+    return V, T, U, s, Vt
 
 
 def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold: float) -> ReconstructionResult:
     """The TSVD solution of `system` from the _factor of its A."""
-    h, tau, U, s, Vt = factors
+    V, T, U, s, Vt = factors
     if s.size == 0 or s[0] == 0.0:
         raise DegenerateSystemError("imaging system matrix is identically zero")
     A, d = system.A, np.asarray(system.d, dtype=float)
     keep = s >= rel_threshold * s[0]
     # A^T = Q U diag(s) Vt, so p = Q U diag(1/s) Vt d
     p_est = np.zeros(A.shape[1])
-    p_est[:tau.size] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
-    _reflect(h, tau, p_est)
+    p_est[:s.size] = U[:, keep] @ ((Vt[keep] @ d) / s[keep])
+    dgemqrt(V, T, p_est)
     residual = float(np.linalg.norm(A @ p_est - system.d))
     return ReconstructionResult(
         p_est=p_est,
@@ -130,20 +132,6 @@ def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold
         singular_values=s,
         rank=int(np.count_nonzero(keep)),
     )
-
-
-def _reflect(h: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply Q to x in place, as its Householder reflectors I - tau_i v_i v_i^T.
-
-    Q is the factor of np.linalg.qr(..., mode="raw") returning (h, tau);
-    v_i = [1, h[i, i+1:]] starts at entry i, and the last reflector acts first.
-    """
-    for i in range(tau.size - 1, -1, -1):
-        v = h[i, i + 1:]
-        c = tau[i] * (x[i] + v @ x[i + 1:])
-        x[i] -= c
-        x[i + 1:] -= c * v
-    return x
 
 
 def reconstruct(
@@ -177,9 +165,10 @@ def reconstruct(
     _check_fraction("truncation_tol", truncation_tol)
     if grid is None:
         grid = Grid(L=data.L, n=DEFAULT_GRID_NODES)
+    # before the model: the kept one costs a sweep on a new plan, and it is aligned by its key
+    _check_alignment(data, data0, grid, background)
     model = _background(grid, data0.lambdas) if background is None else _Background(background)
     V0 = model.V0
-    _check_alignment(data, data0, V0, grid)
     if method == "born":
         system = assemble_system(data, data0, V0, V0.V, method=method)
         return _solve(system, model.born(system.A), rel_threshold)
@@ -202,8 +191,8 @@ def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> floa
 
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
     """Convenience: the cached background model's V0 and Lanczos factors of data0 (shared, read-only)."""
+    _check_alignment(data0, data0, grid, None)
     model = _background(grid, data0.lambdas)
-    _check_alignment(data0, data0, model.V0, grid)
     return model.V0, model.factors(data0, truncation_tol)
 
 

@@ -213,19 +213,13 @@ def lsl_fields(
 def _tridiagonal_eigh(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal T.
 
-    LAPACK stevd, the driver scipy.linalg.eigh_tridiagonal uses for a full
-    decomposition, on the same inputs, so both results are bitwise its.
+    LAPACK stevd (see `_lapack`), the driver scipy.linalg.eigh_tridiagonal
+    uses for a full decomposition, on the same inputs; both results equal
+    its bitwise, a 1 x 1 T included.
     """
     if not np.all(np.isfinite(T)):
         raise ValueError("the reduced model's T must be finite")
-    if T.shape[0] == 1:
-        # scipy exits early here too; the dstevd wrapper rejects the empty
-        # off-diagonal of a 1 x 1 matrix
-        return T[0], np.ones((1, 1))
-    theta, S, info = dstevd(np.diag(T), np.diag(T, 1), compute_v=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stevd failed (LAPACK info={info})")
-    return theta, S
+    return dstevd(np.diag(T), np.diag(T, 1), vectors=True)
 
 
 def lsl_internal(

@@ -232,3 +232,26 @@ def test_given_background_keeps_its_flags_and_is_not_cached(method, layout):
     assert V0.V.flags.writeable and V0.lambdas.flags.writeable
     assert np.array_equal(V0.V, V) and np.array_equal(V0.lambdas, lambdas)
     assert not lslimaging.imaging._BACKGROUND
+
+
+@pytest.mark.parametrize("call", ["reconstruct", "background_rom"])
+def test_misaligned_call_neither_sweeps_nor_replaces_the_kept_plan(call, monkeypatch):
+    data, data0 = cold_datasets("gaussian")
+    reconstruct(data, data0, "born", grid=GRID)
+    kept = cached_model()
+    other = generate_dataset(ZeroPotential(), weyl_sample(2, 2, 2.0).lambdas, Grid(2.0, 101))
+    solves = []
+    resolvent_apply = lslimaging.forward.resolvent_apply
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[2])
+        return resolvent_apply(*args, **kwargs)
+
+    monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting_solve)
+    with pytest.raises(SampleAlignmentError):
+        if call == "reconstruct":
+            reconstruct(data, other, "lsl", grid=GRID)
+        else:
+            background_rom(other, GRID)
+    assert solves == []
+    assert cached_model() is kept

@@ -1,11 +1,15 @@
-"""The LAPACK loader: no scipy.linalg package initialization, and a loud failure."""
+"""The LAPACK binding: numpy's own library, no scipy, a loud failure, and the QR route of the TSVD."""
+import _ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import lslimaging
-from lslimaging import GaussianPotential, Grid, ZeroPotential, generate_dataset, save_dataset, weyl_sample
+from lslimaging import GaussianPotential, Grid, ZeroPotential, _lapack, generate_dataset, save_dataset, weyl_sample
 
 SRC = Path(lslimaging.__file__).resolve().parents[1]
 
@@ -16,7 +20,7 @@ def run_fresh(code, path):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_cli_reconstruct_never_imports_scipy_linalg(tmp_path):
+def test_cli_reconstruct_never_imports_scipy(tmp_path):
     g = Grid(L=1.0, n=401)
     lams = weyl_sample(3, 3, 1.0).lambdas
     data, data0 = tmp_path / "true.txt", tmp_path / "bg.txt"
@@ -29,29 +33,46 @@ def test_cli_reconstruct_never_imports_scipy_linalg(tmp_path):
         f"status = lslimaging.cli.main(['reconstruct', '--data', {str(data)!r}, '--background', {str(data0)!r},"
         f" '--method', 'lsl', '--out', {str(recon)!r}, '--nodes', '401'])\n"
         "assert status == 0, status\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not scipy, scipy\n"
     )
     result = run_fresh(code, [SRC])
     assert result.returncode == 0, result.stderr
     assert recon.is_file()
 
 
-def test_missing_extension_raises_naming_the_directory(tmp_path):
-    # a scipy package whose linalg directory is empty; executing its
-    # __init__ would fail differently, so the test also shows it is not run
-    fake = tmp_path / "scipy"
-    (fake / "linalg").mkdir(parents=True)
-    (fake / "__init__.py").write_text("raise RuntimeError('scipy/__init__ was executed')\n")
-    code = (
-        "import sys\n"
-        "try:\n"
-        "    import lslimaging\n"
-        "except ImportError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    sys.exit('no ImportError')\n"
-        "assert 'scipy.linalg' not in sys.modules and 'scipy' not in sys.modules, sorted(sys.modules)\n"
-    )
-    result = run_fresh(code, [tmp_path, SRC])
-    assert result.returncode == 0, result.stderr + result.stdout
-    assert str(fake / "linalg") in result.stdout
+def test_library_without_the_symbols_raises_naming_symbol_and_file():
+    path = _ctypes.__file__  # a shared library that exports no LAPACK
+    with pytest.raises(ImportError) as info:
+        _lapack._bind(path, "dgtsv", "dgeqrt")
+    assert "scipy_dgtsv_64_" in str(info.value) and path in str(info.value)
+
+
+@pytest.mark.parametrize("shape", [(200, 70), (64, 64), (30, 200), (200, 1)],
+                         ids=["tall-three-blocks", "square-two-blocks", "wide", "one-column"])
+def test_blocked_qr_applies_numpys_q(shape):
+    # the TSVD's route: dgeqrt of A^T, then Q y by dgemqrt
+    rng = np.random.default_rng(sum(shape))
+    At = rng.standard_normal(shape)
+    y = rng.standard_normal(shape[0])
+    V = np.array(At, order="F")
+    T = _lapack.dgeqrt(V, min(32, *shape))
+    Q, R = np.linalg.qr(At, mode="complete")
+    Qy = _lapack.dgemqrt(V, T, y.copy())
+    assert np.max(np.abs(Qy - Q @ y)) <= 1e-13 * np.linalg.norm(y)
+    assert np.linalg.norm(Qy) == pytest.approx(np.linalg.norm(y), rel=1e-13)
+    k = min(shape)
+    np.testing.assert_allclose(np.abs(np.triu(V[:k])), np.abs(R[:k]), rtol=0, atol=1e-13 * np.abs(R).max())
+
+
+def test_arrays_lapack_would_misread_are_refused():
+    d, e = np.full(5, 4.0), np.ones(4)
+    with pytest.raises(ValueError):
+        _lapack.dgeqrt(np.ones((5, 3)), 3)  # row-major
+    with pytest.raises(ValueError):
+        _lapack.dgtsv(e.copy(), d.astype(np.float32), e.copy(), d.copy())
+    with pytest.raises(ValueError):
+        _lapack.dgtsv(e.copy(), d.copy(), e[:3].copy(), d.copy())
+    d.flags.writeable = False
+    with pytest.raises(TypeError):
+        _lapack.dgtsv(e.copy(), d, e.copy(), np.ones(5))
