@@ -2,7 +2,10 @@
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: seven
 preset experiments, six `simulate` runs, both `reconstruct` methods and twelve
-failure cases. Then, in this process, it runs the gaussian and the step
+failure cases. One experiment runs twice: `exp-step-n40-1thread` reruns
+`exp-step-n40` (m = 160) in a subdirectory of that name with
+OPENBLAS_NUM_THREADS=1, and its stdout and files must hash as the first run's
+do, so bytes that depend on the BLAS thread count show. Then, in this process, it runs the gaussian and the step
 preset back to back on one sampling plan and keeps the second run's files
 (`inproc-step/`): the step run reuses the background model the gaussian run
 cached, so its files must hash as `exp-step/`'s do. A third run on that plan,
@@ -63,6 +66,10 @@ RUNS = [
                  "--method", "lsl", "--out", "rec-lsl.txt"]),
 ]
 
+# (name, name of the run repeated, environment settings on top of this process's); each
+# writes into the subdirectory `name`
+RERUNS = [("exp-step-n40-1thread", "exp-step-n40", {"OPENBLAS_NUM_THREADS": "1"})]
+
 _REC = ["reconstruct", "--data", "true.txt", "--background", "background.txt", "--method", "lsl"]
 FAILURES = [
     ("fail-reconstruct-load-data", ["reconstruct", "--data", "absent.txt", "--background",
@@ -104,9 +111,12 @@ def main() -> int:
         (work / "not-utf8.txt").write_bytes(b"# L=1 m=2 label=bad\n-9 0.5 -0.1\n\xff\xfe\n-4 0.6 -0.2\n")
         for name, text in CONFIGS.items():
             (work / name).write_text(text)
-        for name, args in RUNS + FAILURES:
+        runs = [(name, args, work, env) for name, args in RUNS + FAILURES]
+        runs += [(name, dict(RUNS)[of], work / name, {**env, **extra}) for name, of, extra in RERUNS]
+        for name, args, cwd, run_env in runs:
+            cwd.mkdir(exist_ok=True)
             proc = subprocess.run([sys.executable, "-m", "lslimaging.cli", *args],
-                                  cwd=work, env=env, capture_output=True)
+                                  cwd=cwd, env=run_env, capture_output=True)
             if name.startswith("fail-"):
                 lines.append(f"{_sha(proc.stderr + b'exit=%d' % proc.returncode)}  {name}:stderr+exit")
             elif proc.returncode != 0:

@@ -1,4 +1,4 @@
-"""The five LAPACK routines the package calls, bound with ctypes on numpy's own library.
+"""The five LAPACK routines the package calls and its BLAS thread limit, on numpy's own library.
 
 numpy's wheels link one OpenBLAS, LAPACK included, into numpy.linalg._umath_linalg,
 and every matmul and numpy.linalg call runs on it; binding the routines there keeps
@@ -7,10 +7,14 @@ are ILP64, scipy_<name>_64_ (numpy >= 2) or <name>_64_ (numpy 1.2x): every integ
 is an int64 passed by reference, and each CHARACTER argument adds a hidden size_t
 length at the end. A library without them raises ImportError naming the symbol and
 the file, with no other route; a nonzero INFO raises numpy.linalg.LinAlgError.
+one_blas_thread holds the library to one thread: on the pipeline's 2001 x m steps, m <= 160,
+a second one saves no wall time, spins a core after each call, and changes the roundoff.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,15 +24,20 @@ import numpy.linalg._umath_linalg
 _ROUTINES = {"dgtsv": (8, 0), "dstebz": (18, 2), "dstevd": (11, 1), "dgeqrt": (9, 0), "dgemqrt": (14, 2)}
 
 
+def _symbol(lib: ctypes.CDLL, path: str, *symbols: str):
+    """The first of `symbols` that lib exports; ImportError naming them all and path if none."""
+    fn = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+    if fn is None:
+        raise ImportError(f"symbol {' or '.join(symbols)} not found in {path}")
+    return fn
+
+
 def _bind(path: str, *names: str):
     """The LAPACK routines `names` of the library at path, as ctypes functions."""
     lib = ctypes.CDLL(path)
     routines = []
     for name in names:
-        symbols = (f"scipy_{name}_64_", f"{name}_64_")
-        fn = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
-        if fn is None:
-            raise ImportError(f"LAPACK symbol {' or '.join(symbols)} not found in {path}")
+        fn = _symbol(lib, path, f"scipy_{name}_64_", f"{name}_64_")
         args, chars = _ROUTINES[name]
         fn.argtypes, fn.restype = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars, None
         routines.append(fn)
@@ -38,6 +47,36 @@ def _bind(path: str, *names: str):
 _GTSV, _STEBZ, _STEVD, _GEQRT, _GEMQRT = _bind(numpy.linalg._umath_linalg.__file__, *_ROUTINES)
 _F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
 _ONE = ctypes.byref(ctypes.c_int64(1))  # LAPACK only reads it
+
+
+class _OneThread(contextlib.ContextDecorator):
+    """OpenBLAS on one thread inside: a with-block, or a decorated function. get() and set(n)
+    are OpenBLAS's thread count in the library at path, one count for the whole process, so
+    entries from all Python threads share one depth under a lock: the outermost entry saves
+    the count and sets 1, and the outermost exit, by return or raise, restores it."""
+
+    def __init__(self, path: str):
+        lib = ctypes.CDLL(path)
+        self.get, self.set = (_symbol(lib, path, f"scipy_openblas_{op}_num_threads64_", f"openblas_{op}_num_threads64_")
+                              for op in ("get", "set"))
+        self.set.argtypes = [ctypes.c_int]
+        self._lock, self._depth, self._saved = threading.Lock(), 0, 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set(self._saved)
+
+
+one_blas_thread = _OneThread(numpy.linalg._umath_linalg.__file__)
 
 
 def _int(value: int):

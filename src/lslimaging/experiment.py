@@ -8,6 +8,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._lapack import one_blas_thread
 from .errors import stage
 from .forward import solve_forward
 from .grid import Grid
@@ -177,7 +178,7 @@ def config_from_mapping(mapping: Mapping[str, object], **overrides) -> Experimen
 
 
 def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:
-    return config_from_mapping(parse_config_text(Path(path).read_text()), **overrides)
+    return config_from_mapping(parse_config_text(Path(path).read_text(encoding="utf-8")), **overrides)
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -224,6 +225,7 @@ def _background_columns(L: float, n: int, lam: float) -> Tuple[_Text, np.ndarray
     return _Text(grid.nodes), u, _Text(u)
 
 
+@one_blas_thread
 def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     """Run the full pipeline and write the output files into config.outdir.
 
@@ -310,13 +312,13 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         for method in METHODS:
             values = results[method].singular_values if method in results else ()
             lines.append(f"singular_values_{method} = " + " ".join(_FMT % v for v in values))
-        paths["summary"].write_text("\n".join(lines) + "\n")
+        paths["summary"].write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths
 
 def read_summary(path: Union[str, Path]) -> Dict[str, str]:
     """Parse a summary file back into a key -> raw string mapping."""
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if " = " in line:
             key, value = line.split(" = ", 1)
             out[key] = value

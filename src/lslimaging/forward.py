@@ -234,9 +234,10 @@ def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix
         raise ValueError("need a non-empty 1D list of sample points")
     if not np.all(np.isfinite(lams)):
         raise ValueError(f"sample points must be finite, got {lams[~np.isfinite(lams)].tolist()}")
-    if np.unique(lams).size != lams.size:
-        raise ValueError("sample points must be pairwise distinct")
     lams = np.sort(lams)
+    # equal neighbours after the sort, not np.unique, which imports numpy.ma
+    if np.any(lams[1:] == lams[:-1]):
+        raise ValueError("sample points must be pairwise distinct")
     op = assemble_operator(p, grid)
     source = _boundary_source(grid)
     V = np.empty((grid.n, lams.size), order="F")

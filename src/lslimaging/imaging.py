@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._lapack import dgemqrt, dgeqrt
+from ._lapack import dgemqrt, dgeqrt, one_blas_thread
 from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
@@ -84,6 +84,7 @@ def assemble_system(
     return ImagingSystem(A=A, d=data0.F - data.F, grid=grid, method=method)
 
 
+@one_blas_thread
 def solve_regularized(
     system: ImagingSystem, rel_threshold: float = DEFAULT_REL_THRESHOLD
 ) -> ReconstructionResult:
@@ -134,6 +135,7 @@ def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold
     )
 
 
+@one_blas_thread
 def reconstruct(
     data: DataSet,
     data0: DataSet,
@@ -189,6 +191,7 @@ def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> floa
     return err if ref == 0.0 else err / ref
 
 
+@one_blas_thread
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
     """Convenience: the cached background model's V0 and Lanczos factors of data0 (shared, read-only)."""
     _check_alignment(data0, data0, grid, None)

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._lapack import dstevd
+from ._lapack import dstevd, one_blas_thread
 from .errors import (
     DegenerateMassError,
     DegenerateSourceError,
@@ -96,6 +96,7 @@ def build_loewner(data: DataSet) -> LoewnerPencil:
     return LoewnerPencil(S=S, M=M, b=F.copy(), lambdas=lams.copy())
 
 
+@one_blas_thread
 def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TOL) -> LanczosFactors:
     """Generalized Lanczos factorization of the pencil (S, M) started at b.
 
@@ -172,6 +173,7 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     return LanczosFactors(T=T, Q=Q, normfactor=normfactor, k=k)
 
 
+@one_blas_thread
 def lsl_fields(
     V0: SnapshotMatrix,
     factors0: LanczosFactors,

@@ -165,15 +165,16 @@ def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarra
         raise ValueError(f"columns must be 1D and of equal length, got shapes {shapes}")
     row = " ".join("%s" if t else _FMT for t in text)
     rows = zip(*(c if t else c.tolist() for c, t in zip(cols, text)))
-    Path(path).write_text("\n".join([header] + [row % r for r in rows]) + "\n")
+    Path(path).write_text("\n".join([header] + [row % r for r in rows]) + "\n", encoding="utf-8")
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:
     """Read a dataset written by save_dataset; every fault names the file, and a row's fault its line."""
     try:
-        lines = [(i, ln) for i, ln in enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte offset {exc.start}: not {exc.encoding} text ({exc.reason})") from None
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")
     header = lines[0][1][1:].lstrip()  # the label runs to the end of the line

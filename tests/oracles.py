@@ -5,7 +5,8 @@ tridiagonal solves use a hand-written Thomas elimination in 80-bit
 extended precision instead of LAPACK, the background fields come from
 closed forms, and eigenvalue references come from dense solvers. The
 Gram pencil is the one exception: it reads the snapshots the inverse
-problem cannot see, through the package's operator.
+problem cannot see, through the package's operator. continuum_dataset
+gives the exact data of a piecewise-constant medium, with no grid.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from scipy.linalg import lapack
 
 from lslimaging import (
     RESONANCE_RTOL,
+    DataSet,
     Grid,
     Potential,
     ResonanceProximityError,
@@ -141,3 +143,39 @@ def gram_oracle(V: SnapshotMatrix, p: Potential):
     M = V.V.T @ (grid.weights[:, None] * V.V)
     b = V.V[0, :].copy()
     return S, M, b
+
+
+def _continuum_transfer(pieces, lams: np.ndarray, L: float) -> np.ndarray:
+    """F = u(0) / -u'(0) of -u'' + p u + lam u = 0 on (0, L) with u'(L) = 0, per complex lam.
+
+    pieces are StepPotential's (lo, hi, value), applied in order onto zero. (u, u')
+    is carried from x = L, where it is (1, 0), to x = 0 by one transfer matrix per
+    constant stretch of width d: [[cosh kd, -sinh(kd)/k], [-k sinh kd, cosh kd]],
+    k = sqrt(p + lam). Its entries are even in k, so the branch of the complex
+    square root does not matter, and below -p the cosh and sinh turn into cos and sin.
+    """
+    edges = np.unique(np.clip([0.0, L, *(x for lo, hi, _ in pieces for x in (lo, hi))], 0.0, L))
+    middles = 0.5 * (edges[:-1] + edges[1:])
+    values = np.zeros(middles.size)
+    for lo, hi, value in pieces:
+        values[(middles >= lo) & (middles <= hi)] = value
+    u, du = np.ones_like(lams), np.zeros_like(lams)
+    for d, p in zip(np.diff(edges)[::-1], values[::-1]):
+        k = np.sqrt(p + lams)
+        c, s = np.cosh(k * d), np.sinh(k * d)
+        u, du = c * u - s / k * du, -k * s * u + c * du
+    return u / -du
+
+
+def continuum_dataset(pieces, lambdas, L: float) -> DataSet:
+    """The exact (F, dF) of the piecewise-constant medium `pieces` on (0, L), at sorted lambdas.
+
+    The continuum counterpart of generate_dataset(StepPotential(pieces), lambdas, grid),
+    free of discretization error. dF is the complex-step derivative
+    Im F(lam + i h) / h with h = 1e-30 max(1, |lam|), exact to roundoff.
+    """
+    lams = np.sort(np.asarray(lambdas, dtype=float))
+    h = 1e-30 * np.maximum(1.0, np.abs(lams))
+    F = _continuum_transfer(pieces, lams.astype(complex), L).real
+    dF = _continuum_transfer(pieces, lams + 1j * h, L).imag / h
+    return DataSet(L, np.column_stack((lams, F, dF)), label="continuum")

@@ -35,6 +35,7 @@ def test_cli_reconstruct_never_imports_scipy(tmp_path):
         "assert status == 0, status\n"
         "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not scipy, scipy\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     result = run_fresh(code, [SRC])
     assert result.returncode == 0, result.stderr
@@ -46,6 +47,13 @@ def test_library_without_the_symbols_raises_naming_symbol_and_file():
     with pytest.raises(ImportError) as info:
         _lapack._bind(path, "dgtsv", "dgeqrt")
     assert "scipy_dgtsv_64_" in str(info.value) and path in str(info.value)
+
+
+def test_library_without_the_thread_count_raises_naming_symbol_and_file():
+    path = _ctypes.__file__
+    with pytest.raises(ImportError) as info:
+        _lapack._OneThread(path)
+    assert "scipy_openblas_get_num_threads64_" in str(info.value) and path in str(info.value)
 
 
 @pytest.mark.parametrize("shape", [(200, 70), (64, 64), (30, 200), (200, 1)],

@@ -1,13 +1,18 @@
 """Transfer data: measurement, the resolvent-identity derivative, file format."""
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import lslimaging
 from lslimaging import (
     DataSet,
     GaussianPotential,
@@ -88,6 +93,36 @@ class TestTransferDerivative:
                 lambda lam: oracles.transfer_value_extended(p, lam, g), sample.lam, eps
             )
             assert abs(fd - sample.dF) / abs(sample.dF) < 1e-5, sample.lam
+
+
+class TestContinuumData:
+    """oracles.continuum_dataset: the exact data of a piecewise-constant medium, with no grid."""
+
+    LAMS = weyl_sample(10, 4, 1.0).lambdas
+
+    def test_zero_medium_is_the_closed_form(self):
+        data = oracles.continuum_dataset((), self.LAMS, 1.0)
+        exact = np.array([analytic_background_transfer(lam, 1.0) for lam in self.LAMS])
+        assert np.max(np.abs(data.F - exact) / np.abs(exact)) < 1e-15  # measured 3.1e-16
+        fd = np.array([oracles.centered_difference(lambda x: analytic_background_transfer(x, 1.0), lam, 1e-6)
+                       for lam in self.LAMS])
+        assert np.max(np.abs(data.dF - fd) / np.abs(fd)) < 1e-6  # the difference's own error: measured 1.1e-7
+
+    def test_step_preset_grid_data_converges_at_first_order(self, step_preset):
+        # StepPotential gives both jump nodes the piece's full value, an O(h) error in the
+        # medium, so the grid data gains one digit per tenfold refinement
+        exact = oracles.continuum_dataset(step_preset.pieces, self.LAMS, 1.0)
+        gaps = []
+        for n in (501, 1001, 2001, 4001):
+            data = generate_dataset(step_preset, self.LAMS, Grid(1.0, n))
+            gaps.append([np.max(np.abs(data.F - exact.F) / np.abs(exact.F)),
+                         np.max(np.abs(data.dF - exact.dF) / np.abs(exact.dF))])
+        gaps = np.array(gaps)
+        # measured: F 0.0150, 6.06e-3, 3.03e-3, 1.51e-3; dF 0.0142, 6.22e-3, 3.10e-3, 1.55e-3
+        assert np.all(gaps < 1.1 * np.array([[0.0150, 0.0142], [6.06e-3, 6.22e-3], [3.03e-3, 3.10e-3],
+                                             [1.51e-3, 1.55e-3]]))
+        order = np.log2(gaps[1] / gaps[3]) / 2  # two halvings of h from n = 1001
+        assert np.all(order > 0.95), order
 
 
 class TestGenerateDataset:
@@ -328,6 +363,32 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: byte offset {len(head)}: ") as excinfo:
             load_dataset(bad)
         assert not isinstance(excinfo.value, UnicodeError)
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # written as under a UTF-8 locale, read and rewritten by an interpreter whose locale is ASCII
+        text = "# L=1 m=1 label=\u00b5-medium\n-1 0.29999999999999999 -0.10000000000000001\n"
+        good, bad, copy = tmp_path / "mu.txt", tmp_path / "ff.txt", tmp_path / "copy.txt"
+        good.write_bytes(text.encode("utf-8"))
+        bad.write_bytes(b"# L=1 m=1 label=\xff\n-1 0.3 -0.1\n")
+        code = (
+            "import locale, sys\n"
+            "from lslimaging import load_dataset, save_dataset\n"
+            "assert locale.getpreferredencoding(False).lower() not in ('utf-8', 'utf8')\n"
+            f"data = load_dataset({str(good)!r})\n"
+            "assert data.label == '\\u00b5-medium', data.label\n"
+            f"save_dataset(data, {str(copy)!r})\n"
+            "try:\n"
+            f"    load_dataset({str(bad)!r})\n"
+            "except ValueError as exc:\n"
+            "    assert 'byte offset 16: not utf-8 text' in str(exc), exc\n"
+            "else:\n"
+            "    sys.exit('the non-UTF-8 file loaded')\n"
+        )
+        src = Path(lslimaging.__file__).resolve().parents[1]
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert copy.read_bytes() == good.read_bytes()
 
     @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
                                        "a\x85b", "a\u2028b", "a\u2029b", "a\n"])
