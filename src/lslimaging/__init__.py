@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     ExperimentError,
     ImagingError,
-    PoleError,
     ResonanceProximityError,
     RomResonanceError,
     SampleAlignmentError,
@@ -35,13 +34,11 @@ from .forward import (
     Snapshot,
     SnapshotMatrix,
     TridiagonalOperator,
-    analytic_background_transfer,
     assemble_operator,
     compute_snapshot_matrix,
     operator_eigenvalues,
     resolvent_apply,
     solve_forward,
-    solve_forward_operator,
 )
 from .transfer import (
     DataSet,
@@ -49,9 +46,7 @@ from .transfer import (
     generate_dataset,
     load_dataset,
     measure_dataset,
-    measure_transfer,
     save_dataset,
-    transfer_derivative,
 )
 from .sampling import SamplingPlan, approximate_resonances, weyl_sample
 from .rom import (

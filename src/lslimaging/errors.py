@@ -27,12 +27,6 @@ class ResonanceProximityError(_NearResonanceError):
     what = "a discrete resonance; the shifted system is numerically singular"
 
 
-class PoleError(_NearResonanceError):
-    """Closed-form background transfer function evaluated at one of its poles."""
-
-    what = "a background resonance -(k*pi/L)^2 where the transfer function has a pole"
-
-
 class DegenerateMassError(ImagingError):
     """Mass matrix is indefinite or rank-zero beyond what flooring can absorb."""
 

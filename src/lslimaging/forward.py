@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dgtsv as _GTSV, dstebz as _STEBZ, dstevd as _STEVD
-from .errors import PoleError, ResonanceProximityError
+from .errors import ResonanceProximityError
 from .grid import Grid
 from .potentials import Potential
 
@@ -53,20 +53,6 @@ class TridiagonalOperator:
     @property
     def n(self) -> int:
         return self.diag.size
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A v."""
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
-
-    def toarray(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.off, 1)
-            + np.diag(self.off, -1)
-        )
 
     @cached_property
     def _pencil(self):
@@ -193,12 +179,7 @@ def resolvent_apply(
 
 def solve_forward(p: Potential, lam: float, grid: Grid) -> Snapshot:
     """Solve the forward problem with the boundary delta source at x = 0."""
-    return solve_forward_operator(assemble_operator(p, grid), lam, grid)
-
-
-def solve_forward_operator(op: TridiagonalOperator, lam: float, grid: Grid) -> Snapshot:
-    """Like solve_forward, reusing an already-assembled operator."""
-    return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, _boundary_source(grid)))
+    return Snapshot(lam=float(lam), values=resolvent_apply(assemble_operator(p, grid), grid, lam, _boundary_source(grid)))
 
 
 def _boundary_source(grid: Grid) -> np.ndarray:
@@ -244,28 +225,3 @@ def compute_snapshot_matrix(p: Potential, lambdas, grid: Grid) -> SnapshotMatrix
     for j, lam in enumerate(lams):
         V[:, j] = resolvent_apply(op, grid, lam, source)
     return SnapshotMatrix(V=V, grid=grid, lambdas=lams)
-
-
-def analytic_background_transfer(lam: float, L: float) -> float:
-    """Closed-form transfer function of the zero-potential medium.
-
-    Returns coth(sqrt(lam) L)/sqrt(lam) for lam > 0 and -cot(w L)/w with
-    w = sqrt(-lam) for lam < 0. Poles sit at lam = -(k pi / L)^2 for
-    integer k >= 0 (including lam = 0); evaluation within
-    RESONANCE_RTOL * max(1, |lam|) of a pole raises PoleError.
-    """
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValueError(f"spectral parameter must be finite, got {lam}")
-    if lam < 0.0:
-        k = round(math.sqrt(-lam) * L / math.pi)
-        distance = abs(lam + (k * math.pi / L) ** 2)
-    else:
-        distance = abs(lam)
-    if distance < RESONANCE_RTOL * max(1.0, abs(lam)):
-        raise PoleError(lam, distance)
-    if lam > 0.0:
-        s = math.sqrt(lam)
-        return 1.0 / (math.tanh(s * L) * s)
-    w = math.sqrt(-lam)
-    return -1.0 / (math.tan(w * L) * w)

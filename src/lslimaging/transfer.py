@@ -9,11 +9,11 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .forward import Snapshot, SnapshotMatrix, compute_snapshot_matrix
+from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid
 from .potentials import Potential
 
@@ -88,35 +88,14 @@ class DataSet:
     def m(self) -> int:
         return self.lambdas.size
 
-    @property
-    def samples(self) -> Tuple[SpectralSample, ...]:
-        """The rows as records; they were checked when the dataset was built."""
-        rows = zip(self.lambdas.tolist(), self.F.tolist(), self.dF.tolist())
-        return tuple(map(SpectralSample._make, rows))
-
-
-def measure_transfer(snapshot: Snapshot, grid: Grid) -> float:
-    """Transfer value F(lambda) = u(x_0, lambda), the boundary-node value."""
-    if snapshot.values.shape != (grid.n,):
-        raise ValueError("snapshot is not defined on this grid")
-    return float(snapshot.values[0])
-
-
-def transfer_derivative(snapshot: Snapshot, grid: Grid) -> float:
-    """dF/dlambda via the resolvent identity: minus the weighted squared norm."""
-    if snapshot.values.shape != (grid.n,):
-        raise ValueError("snapshot is not defined on this grid")
-    u = snapshot.values
-    return float(-np.sum(grid.weights * u * u))
-
 
 def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
     """The boundary data (F, dF) of one medium, read off its snapshot columns.
 
-    F is the first row of V and dF = -sum(weights * u * u) per column u, as
-    transfer_derivative computes it: each column is summed as one contiguous
-    row of V^T, which keeps numpy's pairwise order, so the bits are the same.
-    V^T is copied only when V is not in Fortran order.
+    F is the first row of V (the boundary-node values) and dF = -sum(weights
+    * u * u) per column u (the resolvent identity). Each column is summed as
+    one contiguous row of V^T, in numpy's pairwise order for that column
+    alone, whatever V's order. V^T is copied only when V is not in Fortran order.
     """
     Vt = np.ascontiguousarray(V.V.T)
     dF = -(V.grid.weights * Vt * Vt).sum(axis=1)

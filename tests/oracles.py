@@ -7,8 +7,19 @@ closed forms, and eigenvalue references come from dense solvers. The
 Gram pencil is the one exception: it reads the snapshots the inverse
 problem cannot see, through the package's operator. continuum_dataset
 gives the exact data of a piecewise-constant medium, with no grid.
+
+The last section holds the package's former public helpers, which nothing
+in the package called, kept unchanged because tests compare against them:
+the closed-form zero-medium transfer function analytic_background_transfer
+with its PoleError, the per-snapshot measurements measure_transfer and
+transfer_derivative, the operator's apply(op, v) and toarray(op), a
+dataset's rows as records, samples(data), and solve_forward_operator, the
+forward solve on an assembled operator (the package's own solver route).
 """
 from __future__ import annotations
+
+import math
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -19,11 +30,15 @@ from lslimaging import (
     Grid,
     Potential,
     ResonanceProximityError,
+    Snapshot,
     SnapshotMatrix,
+    SpectralSample,
     TridiagonalOperator,
     assemble_operator,
+    resolvent_apply,
 )
-from lslimaging.forward import _STURM_SLACK
+from lslimaging.errors import _NearResonanceError
+from lslimaging.forward import _STURM_SLACK, _boundary_source
 
 
 def thomas_solve_longdouble(diag, lower, upper, rhs):
@@ -138,7 +153,7 @@ def gram_oracle(V: SnapshotMatrix, p: Potential):
     # weighted operator W*A_unsym equals h * A_sym, which is symmetric
     AV = np.empty_like(V.V)
     for j in range(V.m):
-        AV[:, j] = op.apply(V.V[:, j])
+        AV[:, j] = apply(op, V.V[:, j])
     S = grid.h * (V.V.T @ AV)
     M = V.V.T @ (grid.weights[:, None] * V.V)
     b = V.V[0, :].copy()
@@ -179,3 +194,79 @@ def continuum_dataset(pieces, lambdas, L: float) -> DataSet:
     F = _continuum_transfer(pieces, lams.astype(complex), L).real
     dF = _continuum_transfer(pieces, lams + 1j * h, L).imag / h
     return DataSet(L, np.column_stack((lams, F, dF)), label="continuum")
+
+
+# The package's former public helpers.
+
+
+class PoleError(_NearResonanceError):
+    """Closed-form background transfer function evaluated at one of its poles."""
+
+    what = "a background resonance -(k*pi/L)^2 where the transfer function has a pole"
+
+
+def analytic_background_transfer(lam: float, L: float) -> float:
+    """Closed-form transfer function of the zero-potential medium.
+
+    Returns coth(sqrt(lam) L)/sqrt(lam) for lam > 0 and -cot(w L)/w with
+    w = sqrt(-lam) for lam < 0. Poles sit at lam = -(k pi / L)^2 for
+    integer k >= 0 (including lam = 0); evaluation within
+    RESONANCE_RTOL * max(1, |lam|) of a pole raises PoleError.
+    """
+    lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"spectral parameter must be finite, got {lam}")
+    if lam < 0.0:
+        k = round(math.sqrt(-lam) * L / math.pi)
+        distance = abs(lam + (k * math.pi / L) ** 2)
+    else:
+        distance = abs(lam)
+    if distance < RESONANCE_RTOL * max(1.0, abs(lam)):
+        raise PoleError(lam, distance)
+    if lam > 0.0:
+        s = math.sqrt(lam)
+        return 1.0 / (math.tanh(s * L) * s)
+    w = math.sqrt(-lam)
+    return -1.0 / (math.tan(w * L) * w)
+
+
+def measure_transfer(snapshot: Snapshot, grid: Grid) -> float:
+    """Transfer value F(lambda) = u(x_0, lambda), the boundary-node value."""
+    if snapshot.values.shape != (grid.n,):
+        raise ValueError("snapshot is not defined on this grid")
+    return float(snapshot.values[0])
+
+
+def transfer_derivative(snapshot: Snapshot, grid: Grid) -> float:
+    """dF/dlambda via the resolvent identity: minus the weighted squared norm."""
+    if snapshot.values.shape != (grid.n,):
+        raise ValueError("snapshot is not defined on this grid")
+    u = snapshot.values
+    return float(-np.sum(grid.weights * u * u))
+
+
+def apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product A v."""
+    out = op.diag * v
+    out[:-1] += op.off * v[1:]
+    out[1:] += op.off * v[:-1]
+    return out
+
+
+def toarray(op: TridiagonalOperator) -> np.ndarray:
+    return (
+        np.diag(op.diag)
+        + np.diag(op.off, 1)
+        + np.diag(op.off, -1)
+    )
+
+
+def samples(data: DataSet) -> Tuple[SpectralSample, ...]:
+    """The rows as records; they were checked when the dataset was built."""
+    rows = zip(data.lambdas.tolist(), data.F.tolist(), data.dF.tolist())
+    return tuple(map(SpectralSample._make, rows))
+
+
+def solve_forward_operator(op: TridiagonalOperator, lam: float, grid: Grid) -> Snapshot:
+    """Like solve_forward, reusing an already-assembled operator."""
+    return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, _boundary_source(grid)))

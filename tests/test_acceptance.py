@@ -20,7 +20,6 @@ from lslimaging import (
     Grid,
     StepPotential,
     ZeroPotential,
-    analytic_background_transfer,
     assemble_operator,
     background_rom,
     build_loewner,
@@ -29,19 +28,18 @@ from lslimaging import (
     generate_dataset,
     lanczos,
     lsl_internal,
-    measure_transfer,
     preset_config,
     read_summary,
     reconstruct,
     relative_l2_error,
     run_experiment,
     solve_forward,
-    solve_forward_operator,
     assemble_system,
     solve_regularized,
     weyl_sample,
 )
 from lslimaging.experiment import default_internal_lambda
+from oracles import analytic_background_transfer, measure_transfer, solve_forward_operator
 
 L = 1.0
 N_INTERVALS = 10

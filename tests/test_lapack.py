@@ -1,5 +1,6 @@
 """The LAPACK binding: numpy's own library, no scipy, a loud failure, and the QR route of the TSVD."""
 import _ctypes
+import inspect
 import os
 import subprocess
 import sys
@@ -40,6 +41,26 @@ def test_cli_reconstruct_never_imports_scipy(tmp_path):
     result = run_fresh(code, [SRC])
     assert result.returncode == 0, result.stderr
     assert recon.is_file()
+
+
+PUBLIC_API = [
+    "DEFAULT_GRID_NODES", "DEFAULT_REL_THRESHOLD", "DEFAULT_TRUNCATION_TOL", "DataSet", "DegenerateMassError",
+    "DegenerateSourceError", "DegenerateSystemError", "DimensionMismatchError", "ExperimentConfig",
+    "ExperimentError", "GaussianPotential", "Grid", "ImagingError", "ImagingSystem", "LanczosFactors",
+    "LoewnerPencil", "METHODS", "PRESETS", "Potential", "RESONANCE_RTOL", "ReconstructionResult",
+    "ResonanceProximityError", "RomResonanceError", "SampleAlignmentError", "SamplingPlan", "Snapshot",
+    "SnapshotMatrix", "SpectralSample", "StepPotential", "TabulatedPotential", "TridiagonalOperator",
+    "ZeroPotential", "approximate_resonances", "assemble_operator", "assemble_system", "background_rom",
+    "build_loewner", "compute_snapshot_matrix", "constant_potential", "generate_dataset", "lanczos",
+    "load_config", "load_dataset", "lsl_fields", "lsl_internal", "measure_dataset", "operator_eigenvalues",
+    "preset_config", "preset_potential", "read_summary", "reconstruct", "relative_l2_error", "resolvent_apply",
+    "run_experiment", "save_dataset", "solve_forward", "solve_regularized", "weyl_sample", "write_table",
+]
+
+
+def test_public_api_is_the_listed_names():
+    names = sorted(n for n in dir(lslimaging) if not n.startswith("_") and not inspect.ismodule(getattr(lslimaging, n)))
+    assert names == PUBLIC_API
 
 
 def test_library_without_the_symbols_raises_naming_symbol_and_file():

@@ -12,10 +12,10 @@ from lslimaging import (
     GaussianPotential,
     Grid,
     LoewnerPencil,
+    PRESETS,
     RomResonanceError,
     StepPotential,
     ZeroPotential,
-    analytic_background_transfer,
     assemble_operator,
     background_rom,
     build_loewner,
@@ -24,10 +24,13 @@ from lslimaging import (
     lanczos,
     lsl_fields,
     lsl_internal,
+    operator_eigenvalues,
+    preset_potential,
     solve_forward,
     weyl_sample,
 )
 from lslimaging.rom import _tridiagonal_eigh
+from oracles import analytic_background_transfer
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ class TestBuildLoewner:
     def test_single_sample_uses_diagonal_formulas(self, g):
         data = generate_dataset(ZeroPotential(), [-5.0], g)
         pencil = build_loewner(data)
-        s = data.samples[0]
+        s = oracles.samples(data)[0]
         assert pencil.S[0, 0] == s.F + s.lam * s.dF
         assert pencil.M[0, 0] == -s.dF
         assert pencil.b[0] == s.F
@@ -133,8 +136,8 @@ class TestGramOracle:
         source[0] = 1.0 / g.h
         for j, lam in enumerate(lams):
             u = V.V[:, j]
-            residual = op.apply(u) + lam * dw * u - source
-            assert np.max(np.abs(residual)) < 1e-7 * np.max(np.abs(op.apply(u)))
+            residual = oracles.apply(op, u) + lam * dw * u - source
+            assert np.max(np.abs(residual)) < 1e-7 * np.max(np.abs(oracles.apply(op, u)))
 
 
 class TestLanczos:
@@ -234,6 +237,28 @@ class TestLanczos:
             lanczos(pencil, truncation_tol=1.5)
 
 
+class TestRomPoles:
+    # Max of min_j |e - t_j| / max(1, |e|) over the band, measured at n = 2001,
+    # N = 10 and default tolerances:
+    #   f = 4: gaussian 6.85e-9, step 1.33e-9, zero 4.5e-8
+    #   f = 2: gaussian 1.63e-7, step 1.68e-7, zero 2.41e-8
+    # (N = 40, f = 4: gaussian 1.13e-8, step 8.18e-9, zero 6.72e-9).
+    BOUND = {4: 1e-7, 2: 4e-7}
+
+    @pytest.mark.parametrize("f", [4, 2])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_eigenvalues_of_t_recover_the_discrete_spectrum_in_the_band(self, g, name, f):
+        N = 10
+        p = preset_potential(name)
+        spectrum = operator_eigenvalues(assemble_operator(p, g), g)
+        band = spectrum[spectrum < (N * np.pi / g.L) ** 2]
+        data = generate_dataset(p, weyl_sample(N, f, g.L).lambdas, g)
+        poles = np.linalg.eigvalsh(lanczos(build_loewner(data)).T)
+        gaps = [np.min(np.abs(poles - e)) / max(1.0, abs(e)) for e in band]
+        assert band.size >= N
+        assert max(gaps) < self.BOUND[f], (band[np.argmax(gaps)], max(gaps))
+
+
 class TestGalerkinInternal:
     def test_interpolates_snapshots_at_sample_points(self, g, gaussian, gaussian_data):
         V = compute_snapshot_matrix(gaussian, gaussian_data.lambdas, g)
@@ -260,7 +285,7 @@ class TestGalerkinInternal:
         source[0] = 1.0 / g.h
 
         def residual(u):
-            return np.linalg.norm(op.apply(u) + lam_mid * dw * u - source)
+            return np.linalg.norm(oracles.apply(op, u) + lam_mid * dw * u - source)
 
         u_hat = lsl_internal(V, factors, factors, lam_mid).values
         u_bg = solve_forward(ZeroPotential(), lam_mid, g).values
