@@ -2,16 +2,18 @@
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: seven
 preset experiments, six `simulate` runs, both `reconstruct` methods and twelve
-failure cases. One experiment runs twice: `exp-step-n40-1thread` reruns
-`exp-step-n40` (m = 160) in a subdirectory of that name with
-OPENBLAS_NUM_THREADS=1, and its stdout and files must hash as the first run's
-do, so bytes that depend on the BLAS thread count show. Then, in this process, it runs the gaussian and the step
+failure cases. Then, in this process, it runs the gaussian and the step
 preset back to back on one sampling plan and keeps the second run's files
 (`inproc-step/`): the step run reuses the background model the gaussian run
 cached, so its files must hash as `exp-step/`'s do. A third run on that plan,
 the gaussian preset at another internal_lambda (`inproc-gaussian-lambda/`),
 must hash as the cold `exp-gaussian-lambda/`, so a background field kept for
-a stale internal_lambda shows. Prints one sorted
+a stale internal_lambda shows. Last, `inproc-step-n40-2threads/` reruns
+`exp-step-n40` (m = 160) with OpenBLAS's thread count set to 2, and restored
+afterwards; its files must hash as `exp-step-n40/`'s do, so bytes that depend
+on the caller's BLAS thread count show. (A CLI process always runs OpenBLAS
+on one thread, whatever OPENBLAS_NUM_THREADS says, so only an in-process run
+can set another count.) Prints one sorted
 `sha256  name` line per output file, per stdout, and per stderr plus exit
 code. Paths in the outputs are relative to the temporary directory, so two
 trees give comparable lines:
@@ -66,10 +68,6 @@ RUNS = [
                  "--method", "lsl", "--out", "rec-lsl.txt"]),
 ]
 
-# (name, name of the run repeated, environment settings on top of this process's); each
-# writes into the subdirectory `name`
-RERUNS = [("exp-step-n40-1thread", "exp-step-n40", {"OPENBLAS_NUM_THREADS": "1"})]
-
 _REC = ["reconstruct", "--data", "true.txt", "--background", "background.txt", "--method", "lsl"]
 FAILURES = [
     ("fail-reconstruct-load-data", ["reconstruct", "--data", "absent.txt", "--background",
@@ -111,12 +109,9 @@ def main() -> int:
         (work / "not-utf8.txt").write_bytes(b"# L=1 m=2 label=bad\n-9 0.5 -0.1\n\xff\xfe\n-4 0.6 -0.2\n")
         for name, text in CONFIGS.items():
             (work / name).write_text(text)
-        runs = [(name, args, work, env) for name, args in RUNS + FAILURES]
-        runs += [(name, dict(RUNS)[of], work / name, {**env, **extra}) for name, of, extra in RERUNS]
-        for name, args, cwd, run_env in runs:
-            cwd.mkdir(exist_ok=True)
+        for name, args in RUNS + FAILURES:
             proc = subprocess.run([sys.executable, "-m", "lslimaging.cli", *args],
-                                  cwd=cwd, env=run_env, capture_output=True)
+                                  cwd=work, env=env, capture_output=True)
             if name.startswith("fail-"):
                 lines.append(f"{_sha(proc.stderr + b'exit=%d' % proc.returncode)}  {name}:stderr+exit")
             elif proc.returncode != 0:
@@ -124,12 +119,19 @@ def main() -> int:
                 return 1
             lines.append(f"{_sha(proc.stdout)}  {name}:stdout")
         from lslimaging import preset_config, run_experiment
+        from lslimaging._lapack import one_blas_thread
 
         with tempfile.TemporaryDirectory() as first:
             run_experiment(preset_config("gaussian", outdir=first))
         run_experiment(preset_config("step", outdir=work / "inproc-step"))
         # run_experiment now keeps the background field at the default internal_lambda
         run_experiment(preset_config("gaussian", internal_lambda=LAMBDA, outdir=work / "inproc-gaussian-lambda"))
+        saved = one_blas_thread.get()
+        one_blas_thread.set(2)
+        try:
+            run_experiment(preset_config("step", N=40, outdir=work / "inproc-step-n40-2threads"))
+        finally:
+            one_blas_thread.set(saved)
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":
                 lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")

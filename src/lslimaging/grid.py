@@ -39,3 +39,6 @@ class Grid:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and other.L == self.L and other.n == self.n
+
+    def __hash__(self) -> int:
+        return hash((self.L, self.n))

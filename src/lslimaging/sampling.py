@@ -30,7 +30,11 @@ class SamplingPlan:
 
 def approximate_resonances(N: int, L: float) -> np.ndarray:
     """The first N+1 background resonances r_k = -(k pi / L)^2, k = 0..N."""
-    return -((np.arange(N + 1) * np.pi / L) ** 2)
+    if not np.isfinite(N) or int(N) != N or N < 0:
+        raise ValueError(f"resonance index N must be an integer >= 0, got {N}")
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"domain length must be positive and finite, got {L}")
+    return -((np.arange(int(N) + 1) * np.pi / float(L)) ** 2)
 
 
 def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:

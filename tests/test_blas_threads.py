@@ -3,7 +3,10 @@
 At m = 160 OpenBLAS threads the Lanczos products, the LSL fields, the blocked QR and
 the SVD, and a second thread changes the roundoff of all but the LSL fields; inside the
 limit the bits are the same at every count, and the caller's count comes back afterwards.
+A CLI process loads OpenBLAS on one thread, so it never starts a worker thread.
 """
+import json
+import os
 import threading
 from types import SimpleNamespace
 
@@ -13,6 +16,7 @@ import pytest
 import lslimaging.experiment
 import lslimaging.imaging
 from lslimaging import (
+    GaussianPotential,
     Grid,
     ZeroPotential,
     assemble_system,
@@ -26,10 +30,13 @@ from lslimaging import (
     preset_config,
     reconstruct,
     run_experiment,
+    save_dataset,
     solve_regularized,
     weyl_sample,
 )
 from lslimaging._lapack import one_blas_thread
+from lslimaging.cli import main
+from test_lapack import SRC, run_fresh
 
 get_num_threads, set_num_threads = one_blas_thread.get, one_blas_thread.set
 
@@ -143,3 +150,85 @@ def test_nested_and_concurrent_entries_keep_one_thread_until_the_last_exits(coun
             worker.join(30)
             assert seen == [1] and get_num_threads() == 1
         assert get_num_threads() == n
+
+
+# a CLI process, started as `python -m lslimaging.cli` or as the `lslimaging` console
+# script; the fresh interpreter reports main()'s status, OpenBLAS's count, the variable
+# and, on Linux, its thread count
+ENTRIES = {
+    "python-m": (
+        "import runpy\n"
+        "sys.argv = ['lslimaging', *ARGS]\n"
+        "try:\n"
+        "    runpy.run_module('lslimaging.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+    ),
+    "console-script": "import lslimaging.cli\nstatus = lslimaging.cli.main(ARGS)\n",
+}
+REPORT = (
+    "from lslimaging._lapack import one_blas_thread\n"
+    "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+    "print(json.dumps({'status': status, 'threads': one_blas_thread.get(),"
+    " 'variable': os.environ.get('OPENBLAS_NUM_THREADS'), 'tasks': tasks}))\n"
+)
+
+
+@pytest.fixture(scope="module")
+def reconstruct_args(tmp_path_factory):
+    """`reconstruct` arguments on small datasets; --out is left to the test."""
+    tmp = tmp_path_factory.mktemp("cli-inputs")
+    grid, lams = Grid(1.0, 401), weyl_sample(3, 3, 1.0).lambdas
+    save_dataset(generate_dataset(GaussianPotential(5.0, 0.5, 0.1), lams, grid), tmp / "true.txt")
+    save_dataset(generate_dataset(ZeroPotential(), lams, grid), tmp / "background.txt")
+    return ["reconstruct", "--data", str(tmp / "true.txt"), "--background", str(tmp / "background.txt"),
+            "--method", "lsl", "--nodes", "401"]
+
+
+def run_cli_process(entry, args):
+    result = run_fresh(f"import json, os, sys\nARGS = {args!r}\n" + ENTRIES[entry] + REPORT, [SRC])
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_the_cli_loads_no_numpy_and_keeps_the_environment():
+    code = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import lslimaging\n"
+        "import lslimaging.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        "assert dict(os.environ) == before, 'environment changed'\n"
+    )
+    result = run_fresh(code, [SRC])
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_cli_process_runs_openblas_on_one_thread(entry, reconstruct_args, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    report = run_cli_process(entry, reconstruct_args + ["--out", str(tmp_path / "process.txt")])
+    assert report["status"] == 0
+    assert report["threads"] == 1
+    assert report["variable"] == "2"
+    if report["tasks"] is not None:
+        assert report["tasks"] == 1
+    assert main(reconstruct_args + ["--out", str(tmp_path / "in-process.txt")]) == 0
+    assert (tmp_path / "process.txt").read_bytes() == (tmp_path / "in-process.txt").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_cli_process_leaves_an_unset_variable_unset(entry, reconstruct_args, tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    report = run_cli_process(entry, reconstruct_args + ["--out", str(tmp_path / "process.txt")])
+    assert report["status"] == 0 and report["threads"] == 1
+    assert report["variable"] is None
+
+
+def test_main_with_numpy_loaded_keeps_the_callers_count_and_variable(reconstruct_args, tmp_path, monkeypatch,
+                                                                     counts):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    for n in counts():
+        assert main(reconstruct_args + ["--out", str(tmp_path / f"{n}.txt")]) == 0
+        assert get_num_threads() == n
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"

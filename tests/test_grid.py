@@ -43,3 +43,9 @@ def test_invalid_arguments_rejected(L, n):
 def test_equality_by_parameters():
     assert Grid(1.0, 11) == Grid(1.0, 11)
     assert Grid(1.0, 11) != Grid(1.0, 12)
+
+
+def test_hash_follows_equality():
+    assert hash(Grid(1, 5)) == hash(Grid(1.0, 5))
+    assert {Grid(1, 5): 0}[Grid(1.0, 5)] == 0
+    assert len({Grid(1.0, 5), Grid(1.0, 6), Grid(2.0, 5)}) == 3

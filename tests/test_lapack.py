@@ -63,6 +63,28 @@ def test_public_api_is_the_listed_names():
     assert names == PUBLIC_API
 
 
+def test_names_load_their_submodule_on_first_use():
+    code = (
+        "import sys\n"
+        "import lslimaging\n"
+        "assert sorted(lslimaging.__all__) == sorted(set(lslimaging.__all__)), 'duplicate names'\n"
+        "assert 'lslimaging.grid' not in sys.modules\n"
+        "from lslimaging import Grid\n"
+        "assert Grid is lslimaging.grid.Grid and 'lslimaging.experiment' not in sys.modules\n"
+        "assert lslimaging.experiment.run_experiment is lslimaging.run_experiment\n"
+        "assert all(getattr(lslimaging, name) is not None for name in lslimaging.__all__)\n"
+        "try:\n"
+        "    lslimaging.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    result = run_fresh(code, [SRC])
+    assert result.returncode == 0, result.stderr
+    assert sorted(lslimaging.__all__) == PUBLIC_API
+
+
 def test_library_without_the_symbols_raises_naming_symbol_and_file():
     path = _ctypes.__file__  # a shared library that exports no LAPACK
     with pytest.raises(ImportError) as info:

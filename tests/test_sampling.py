@@ -53,3 +53,16 @@ def test_plan_properties(N, f, L):
         gap = min(abs(lam - r[k]), abs(lam - r[k + 1]))
         assert gap >= margin * (1 - 1e-12)
         assert np.min(np.abs(lam - r)) > 0.0
+
+
+@pytest.mark.parametrize("N,L", [(-1, 1.0), (2.5, 1.0), (np.inf, 1.0), (np.nan, 1.0), (3, 0.0), (3, -1.0),
+                                 (3, np.inf), (3, np.nan)],
+                         ids=["N-negative", "N-fraction", "N-inf", "N-nan", "L-zero", "L-negative", "L-inf", "L-nan"])
+def test_resonances_reject_invalid_arguments(N, L):
+    with pytest.raises(ValueError, match="must be"):
+        approximate_resonances(N, L)
+
+
+def test_resonances_take_an_integral_float_count_and_zero():
+    assert np.array_equal(approximate_resonances(3.0, 2.0), approximate_resonances(3, 2.0))
+    assert np.array_equal(approximate_resonances(0, 1.0), [0.0])
