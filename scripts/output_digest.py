@@ -1,8 +1,10 @@
 """Digest of the command line's outputs, for checking that a change keeps them.
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: seven
-preset experiments, six `simulate` runs, both `reconstruct` methods and twelve
-failure cases. Then, in this process, it runs the gaussian and the step
+preset experiments, six `simulate` runs, both `reconstruct` methods, the
+top-level and each subcommand's `--help` at 80 columns, twelve failure cases
+and one usage error per subcommand (a required option left out), so a parser
+change that alters help or usage text shows too. Then, in this process, it runs the gaussian and the step
 preset back to back on one sampling plan and keeps the second run's files
 (`inproc-step/`): the step run reuses the background model the gaussian run
 cached, so its files must hash as `exp-step/`'s do. A third run on that plan,
@@ -66,6 +68,11 @@ RUNS = [
                   "--method", "born", "--out", "rec-born.txt"]),
     ("rec-lsl", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
                  "--method", "lsl", "--out", "rec-lsl.txt"]),
+    # the parser's text: the top-level help and each subcommand's
+    ("help", ["--help"]),
+    ("help-simulate", ["simulate", "--help"]),
+    ("help-reconstruct", ["reconstruct", "--help"]),
+    ("help-experiment", ["experiment", "--help"]),
 ]
 
 _REC = ["reconstruct", "--data", "true.txt", "--background", "background.txt", "--method", "lsl"]
@@ -87,6 +94,11 @@ FAILURES = [
     ("fail-experiment-resonance", ["experiment", "zero", "--internal-lambda", "0", "--nodes", "401",
                                    "--intervals", "3", "--f", "3", "--outdir", "o"]),
     ("fail-experiment-empty-methods", ["experiment", "zero", "--methods", "", "--outdir", "o"]),
+    # usage errors: each subcommand without one of its required options
+    ("fail-simulate-usage", ["simulate", "--out", "o.txt"]),
+    ("fail-reconstruct-usage", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
+                                "--out", "o.txt"]),
+    ("fail-experiment-usage", ["experiment", "zero"]),
 ]
 
 
@@ -97,7 +109,8 @@ def _sha(data: bytes) -> str:
 def main() -> int:
     # the commands run in the temporary directory, so a relative PYTHONPATH is resolved here
     entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(os.path.abspath(e) for e in entries if e)}
+    # argparse wraps help and usage text at COLUMNS
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(os.path.abspath(e) for e in entries if e), "COLUMNS": "80"}
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

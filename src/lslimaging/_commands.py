@@ -1,4 +1,8 @@
-"""The command line's parser and its three commands: simulate, reconstruct, experiment."""
+"""The command line's parser and its three commands: simulate, reconstruct, experiment.
+
+A command loads only the modules it runs: `reconstruct` never loads `experiment` or
+`sampling`, and a subcommand's parser gets its arguments only when it parses (_Subparser).
+"""
 from __future__ import annotations
 
 import argparse
@@ -6,21 +10,10 @@ import argparse
 import numpy as np
 
 from .errors import stage
-from .experiment import (
-    _CONFIG_KEYS,
-    PRESETS,
-    ExperimentConfig,
-    _write_reconstruction,
-    load_config,
-    preset_config,
-    read_summary,
-    run_experiment,
-)
 from .grid import Grid
 from .imaging import DEFAULT_REL_THRESHOLD, DEFAULT_GRID_NODES, METHODS, reconstruct
 from .rom import DEFAULT_TRUNCATION_TOL
-from .transfer import generate_dataset, load_dataset, save_dataset
-from .sampling import weyl_sample
+from .transfer import _write_reconstruction, generate_dataset, load_dataset, save_dataset
 
 
 def _parse_overrides(pairs):
@@ -34,6 +27,9 @@ def _parse_overrides(pairs):
 
 
 def _cmd_simulate(args) -> int:
+    from .experiment import load_config
+    from .sampling import weyl_sample
+
     with stage("load-config"):
         config = load_config(args.config, **_parse_overrides(args.set))
     with stage("sampling"):
@@ -58,7 +54,7 @@ def _cmd_reconstruct(args) -> int:
             rel_threshold=args.threshold, truncation_tol=args.truncation_tol,
         )
     with stage("write-output"):
-        _write_reconstruction(args.out, grid.nodes, np.full(grid.n, np.nan), {args.method: result})
+        _write_reconstruction(args.out, grid.nodes, np.full(grid.n, np.nan), {args.method: result.p_est}, METHODS)
     print(
         f"method={result.method} rank={result.rank} "
         f"residual={result.residual_norm:.6e} -> {args.out}"
@@ -67,6 +63,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import _CONFIG_KEYS, preset_config, read_summary, run_experiment
+
     with stage("configure"):
         # a flag left out is absent from args; the rest are text, parsed as in a config file
         config = preset_config(args.preset, **{k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
@@ -80,37 +78,31 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lslimaging",
-        description="1D potential imaging from boundary spectral data",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="key=value configuration file")
+    p.add_argument("--out", required=True, help="output dataset file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a configuration key (repeatable)")
 
-    p_sim = sub.add_parser("simulate", help="generate a transfer-function dataset")
-    p_sim.add_argument("--config", required=True, help="key=value configuration file")
-    p_sim.add_argument("--out", required=True, help="output dataset file")
-    p_sim.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a configuration key (repeatable)")
-    p_sim.set_defaults(func=_cmd_simulate)
 
-    p_rec = sub.add_parser("reconstruct", help="reconstruct a potential from datasets")
-    p_rec.add_argument("--data", required=True, help="dataset of the unknown medium")
-    p_rec.add_argument("--background", required=True, help="dataset of the background medium")
-    p_rec.add_argument("--method", required=True, choices=METHODS)
-    p_rec.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
-                       help="relative singular-value cutoff (default %(default)g)")
-    p_rec.add_argument("--out", required=True, help="output reconstruction table")
-    p_rec.add_argument("--nodes", type=int, default=DEFAULT_GRID_NODES,
-                       help="grid nodes for the reconstruction (default %(default)s)")
-    p_rec.add_argument("--truncation-tol", type=float, default=DEFAULT_TRUNCATION_TOL,
-                       help="reduced-model truncation tolerance (default %(default)g)")
-    p_rec.set_defaults(func=_cmd_reconstruct)
+def _reconstruct_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="dataset of the unknown medium")
+    p.add_argument("--background", required=True, help="dataset of the background medium")
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
+                   help="relative singular-value cutoff (default %(default)g)")
+    p.add_argument("--out", required=True, help="output reconstruction table")
+    p.add_argument("--nodes", type=int, default=DEFAULT_GRID_NODES,
+                   help="grid nodes for the reconstruction (default %(default)s)")
+    p.add_argument("--truncation-tol", type=float, default=DEFAULT_TRUNCATION_TOL,
+                   help="reduced-model truncation tolerance (default %(default)g)")
 
-    p_exp = sub.add_parser("experiment", help="run a full preset experiment",
-                           argument_default=argparse.SUPPRESS)
-    p_exp.add_argument("preset", choices=PRESETS)
-    p_exp.add_argument("--outdir", required=True, help="directory for output files")
+
+def _experiment_arguments(p: argparse.ArgumentParser) -> None:
+    from .experiment import PRESETS, ExperimentConfig
+
+    p.add_argument("preset", choices=PRESETS)
+    p.add_argument("--outdir", required=True, help="directory for output files")
     for flag, name, text in (
         ("--f", "f", "sample points per resonance interval"),
         ("--intervals", "N", "number of resonance intervals"),
@@ -122,8 +114,35 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         default = getattr(ExperimentConfig, name)
         shown = ",".join(default) if name == "methods" else "auto" if default is None else default
-        p_exp.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
-                           help=f"{text} (default {shown})")
-    p_exp.set_defaults(func=_cmd_experiment)
-    return parser
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                       help=f"{text} (default {shown})")
 
+
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments, by calling arguments(self), when it
+    first parses (-h included): a module that only they need loads only for that command."""
+
+    def __init__(self, *, arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lslimaging",
+        description="1D potential imaging from boundary spectral data",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    sub.add_parser("simulate", help="generate a transfer-function dataset",
+                   arguments=_simulate_arguments).set_defaults(func=_cmd_simulate)
+    sub.add_parser("reconstruct", help="reconstruct a potential from datasets",
+                   arguments=_reconstruct_arguments).set_defaults(func=_cmd_reconstruct)
+    sub.add_parser("experiment", help="run a full preset experiment", argument_default=argparse.SUPPRESS,
+                   arguments=_experiment_arguments).set_defaults(func=_cmd_experiment)
+    return parser

@@ -7,9 +7,13 @@ the variable only when it loads, so the process keeps one BLAS thread and starts
 no worker thread, which would spin on another core for OpenBLAS's thread_timeout
 waiting for a job: the pipeline runs its BLAS calls on one thread anyway
 (_lapack.one_blas_thread).
+
+main() is the library call. A process enters through run(), which exits with
+main()'s status after gc.freeze() (see run).
 """
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -44,5 +48,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of `python -m lslimaging.cli` and of the `lslimaging` script:
+    main() on sys.argv, then exit with its status.
+
+    However main() ends, argparse's SystemExit included, gc.freeze() first moves
+    every tracked object to the collector's permanent generation, which the
+    collections at interpreter shutdown skip: they would otherwise walk all of
+    numpy's and the package's objects for nothing. atexit handlers, stdio
+    flushing and module teardown still run.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,14 +4,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ._lapack import one_blas_thread
 from .errors import stage
 from .forward import solve_forward
-from .grid import Grid
+from .grid import Grid, _check_length
 from .imaging import (
     DEFAULT_GRID_NODES,
     DEFAULT_REL_THRESHOLD,
@@ -24,7 +24,8 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
-from .transfer import _FMT, DataSet, _check_label, _Text, _write_rows, generate_dataset, save_dataset
+from .transfer import (_FMT, DataSet, _check_label, _Text, _write_reconstruction, generate_dataset, save_dataset,
+                       write_table)
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -58,6 +59,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "outdir", Path(self.outdir))
+        if isinstance(self.methods, str):  # tuple() would split it into letters
+            raise ValueError(f"methods must be a sequence of method names, got the string {self.methods!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.label:
             object.__setattr__(self, "label", self.potential.label)
@@ -139,6 +142,14 @@ def _check_key(key: str, where: str = "") -> None:
         raise ValueError(f"{where}unknown key {key!r} (valid: {', '.join(_CONFIG_KEYS)})")
 
 
+def _parse_value(key: str, text: str):
+    """The config value of `key` parsed from its text; a ValueError names the key."""
+    try:
+        return _CONFIG_KEYS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
 def _potential_from_values(values: Mapping[str, object], L: float) -> Potential:
     """The preset medium of kind `potential` (default zero), with its parsed keys applied.
 
@@ -170,9 +181,10 @@ def config_from_mapping(mapping: Mapping[str, object], **overrides) -> Experimen
     merged = {**mapping, **overrides}
     for key in merged:
         _check_key(key)
-    values = {key: parse(merged[key]) if isinstance(merged[key], str) else merged[key]
-              for key, parse in _CONFIG_KEYS.items() if key in merged}
-    values["potential"] = _potential_from_values(values, values.get("L", ExperimentConfig.L))
+    values = {key: _parse_value(key, merged[key]) if isinstance(merged[key], str) else merged[key]
+              for key in _CONFIG_KEYS if key in merged}
+    # before the preset medium, which scales with L and would blame its own parameters
+    values["potential"] = _potential_from_values(values, _check_length(values.get("L", ExperimentConfig.L)))
     return ExperimentConfig(**{f.name: values[f.name]
                                for f in fields(ExperimentConfig) if f.name in values})
 
@@ -187,26 +199,6 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 
 
 # -- output writers ---------------------------------------------------------
-
-def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Whitespace-separated table: one header line, 17-significant-digit rows.
-
-    A column is an array, or a transfer._Text written as is, as run_experiment
-    passes the node and background-field text it keeps. Raises ValueError
-    unless there is one equal-length column per name.
-    """
-    if len(names) != len(columns):
-        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
-    _write_rows(path, " ".join(names), columns)
-
-
-def _write_reconstruction(path: Union[str, Path], x, p_true: np.ndarray,
-                          results: Mapping[str, ReconstructionResult]) -> None:
-    """The table x, p_true, p_<method> for each of METHODS; nan for a method not run."""
-    nan_col = np.full(len(p_true), np.nan)
-    columns = [results[m].p_est if m in results else nan_col for m in METHODS]
-    write_table(path, ("x", "p_true", *(f"p_{m}" for m in METHODS)), (x, p_true, *columns))
-
 
 def default_internal_lambda(lambdas: np.ndarray) -> float:
     """Midpoint of the middle pair of sample points: between, never on, samples."""
@@ -281,7 +273,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         paths = {name.split(".")[0]: outdir / name for name in OUTPUT_FILES}
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
-        _write_reconstruction(paths["reconstruction"], nodes_text, p_true, results)
+        _write_reconstruction(paths["reconstruction"], nodes_text, p_true,
+                              {m: r.p_est for m, r in results.items()}, METHODS)
         write_table(
             paths["internal_solution"],
             ("x", "u_true", "u_background", "u_lsl"),

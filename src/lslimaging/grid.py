@@ -4,6 +4,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_length(L: float) -> float:
+    """L as a float; raises ValueError unless it is positive and finite."""
+    L = float(L)
+    if not np.isfinite(L) or L <= 0.0:
+        raise ValueError(f"domain length must be positive and finite, got {L}")
+    return L
+
+
 class Grid:
     """Uniform discretization of the interval (0, L) with n nodes.
 
@@ -13,9 +21,7 @@ class Grid:
     """
 
     def __init__(self, L: float, n: int):
-        L = float(L)
-        if not np.isfinite(L) or L <= 0.0:
-            raise ValueError(f"domain length must be positive and finite, got {L}")
+        L = _check_length(L)
         if not np.isfinite(n) or int(n) != n or n < 3:
             raise ValueError(f"node count must be an integer >= 3, got {n}")
         self.L = L

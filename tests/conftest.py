@@ -6,7 +6,8 @@ import pytest
 
 import lslimaging.experiment
 import lslimaging.imaging
-from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential
+from lslimaging import (GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential, generate_dataset,
+                        save_dataset, weyl_sample)
 
 # One line per acceptance criterion, printed after every run that touched
 # tests/test_acceptance.py.
@@ -81,6 +82,17 @@ def test_potentials(gaussian_preset, step_preset):
         "gaussian": gaussian_preset,
         "step": step_preset,
     }
+
+
+@pytest.fixture(scope="session")
+def reconstruct_args(tmp_path_factory):
+    """`reconstruct` arguments on small datasets; --out is left to the test."""
+    tmp = tmp_path_factory.mktemp("cli-inputs")
+    grid, lams = Grid(1.0, 401), weyl_sample(3, 3, 1.0).lambdas
+    save_dataset(generate_dataset(GaussianPotential(5.0, 0.5, 0.1), lams, grid), tmp / "true.txt")
+    save_dataset(generate_dataset(ZeroPotential(), lams, grid), tmp / "background.txt")
+    return ["reconstruct", "--data", str(tmp / "true.txt"), "--background", str(tmp / "background.txt"),
+            "--method", "lsl", "--nodes", "401"]
 
 
 def weighted_rel_err(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:

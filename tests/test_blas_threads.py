@@ -16,7 +16,6 @@ import pytest
 import lslimaging.experiment
 import lslimaging.imaging
 from lslimaging import (
-    GaussianPotential,
     Grid,
     ZeroPotential,
     assemble_system,
@@ -30,7 +29,6 @@ from lslimaging import (
     preset_config,
     reconstruct,
     run_experiment,
-    save_dataset,
     solve_regularized,
     weyl_sample,
 )
@@ -164,7 +162,14 @@ ENTRIES = {
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
     ),
-    "console-script": "import lslimaging.cli\nstatus = lslimaging.cli.main(ARGS)\n",
+    "console-script": (
+        "import lslimaging.cli\n"
+        "sys.argv = ['lslimaging', *ARGS]\n"
+        "try:\n"
+        "    lslimaging.cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+    ),
 }
 REPORT = (
     "from lslimaging._lapack import one_blas_thread\n"
@@ -172,17 +177,6 @@ REPORT = (
     "print(json.dumps({'status': status, 'threads': one_blas_thread.get(),"
     " 'variable': os.environ.get('OPENBLAS_NUM_THREADS'), 'tasks': tasks}))\n"
 )
-
-
-@pytest.fixture(scope="module")
-def reconstruct_args(tmp_path_factory):
-    """`reconstruct` arguments on small datasets; --out is left to the test."""
-    tmp = tmp_path_factory.mktemp("cli-inputs")
-    grid, lams = Grid(1.0, 401), weyl_sample(3, 3, 1.0).lambdas
-    save_dataset(generate_dataset(GaussianPotential(5.0, 0.5, 0.1), lams, grid), tmp / "true.txt")
-    save_dataset(generate_dataset(ZeroPotential(), lams, grid), tmp / "background.txt")
-    return ["reconstruct", "--data", str(tmp / "true.txt"), "--background", str(tmp / "background.txt"),
-            "--method", "lsl", "--nodes", "401"]
 
 
 def run_cli_process(entry, args):

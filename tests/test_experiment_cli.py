@@ -157,6 +157,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown potential kind 'ramp'"):
             config_from_mapping({"potential": "ramp"})
 
+    @pytest.mark.parametrize("key, text", [("N", "ten"), ("gaussian_width", "abc"), ("step_pieces", "0:x:1"),
+                                           ("L", "")])
+    def test_a_value_that_does_not_parse_names_its_key(self, key, text):
+        with pytest.raises(ValueError, match=f"^config key '{key}': "):
+            config_from_mapping({"potential": "gaussian"}, **{key: text})
+
+    @pytest.mark.parametrize("kind", PRESETS)
+    @pytest.mark.parametrize("L", ["-1", "0", "nan"])
+    def test_a_bad_L_is_reported_as_the_domain_length(self, kind, L):
+        message = f"^domain length must be positive and finite, got {float(L)}$"
+        with pytest.raises(ValueError, match=message):
+            config_from_mapping({"potential": kind, "L": L})
+        with pytest.raises(ValueError, match=message):
+            preset_config(kind, L=float(L))
+
+    def test_methods_given_as_one_string_rejected(self):
+        with pytest.raises(ValueError, match="^methods must be a sequence of method names, got the string 'lsl'$"):
+            ExperimentConfig(potential=ZeroPotential(), methods="lsl")
+        assert ExperimentConfig(potential=ZeroPotential(), methods=["lsl"]).methods == ("lsl",)
+
 
 class TestStage:
     @pytest.mark.parametrize("exc", [ValueError("v"), OSError("o"), ImagingError("i")])
@@ -441,17 +461,25 @@ class TestCli:
          "--set expects key=value, got 'foo'"),
         (["experiment", "zero", "--methods", "lsl,lsl", "--outdir", "run"], "configure",
          "duplicate entries in method list"),
+        (["simulate", "--config", "ten.cfg", "--out", "o.txt"], "load-config",
+         "config key 'N': invalid literal for int() with base 10: 'ten'"),
+        (["simulate", "--config", "true.cfg", "--set", "gaussian_width=abc", "--out", "o.txt"], "load-config",
+         "config key 'gaussian_width': could not convert string to float: 'abc'"),
+        (["experiment", "gaussian", "--intervals", "x", "--outdir", "run"], "configure",
+         "config key 'N': invalid literal for int() with base 10: 'x'"),
     ], ids=["reconstruct-load-data", "reconstruct-reconstruct", "reconstruct-write-output",
             "reconstruct-born-truncation-tol",
             "simulate-load-config", "simulate-write-output", "experiment-configure",
             "experiment-nan-lambda", "experiment-resonance", "simulate-set-unknown-key",
             "experiment-empty-methods", "simulate-empty-methods", "simulate-set-without-equals",
-            "experiment-duplicate-methods"])
+            "experiment-duplicate-methods", "simulate-config-value", "simulate-set-value",
+            "experiment-flag-value"])
     def test_failure_names_its_stage(self, tmp_path, monkeypatch, capsys, args, expected, message):
         monkeypatch.chdir(tmp_path)
         self._write_config(tmp_path / "true.cfg", "gaussian")
         self._write_config(tmp_path / "bg.cfg", "zero")
         (tmp_path / "bad.cfg").write_text("no_such_key = 1\n")
+        (tmp_path / "ten.cfg").write_text("potential = zero\nN = ten\n")
         assert main(["simulate", "--config", "true.cfg", "--out", "true.txt"]) == 0
         assert main(["simulate", "--config", "bg.cfg", "--out", "bg.txt"]) == 0
         capsys.readouterr()
