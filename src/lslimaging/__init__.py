@@ -29,10 +29,7 @@ _EXPORTS = {
         "RESONANCE_RTOL", "Snapshot", "SnapshotMatrix", "TridiagonalOperator", "assemble_operator",
         "compute_snapshot_matrix", "operator_eigenvalues", "resolvent_apply", "solve_forward",
     ),
-    "transfer": (
-        "DataSet", "SpectralSample", "generate_dataset", "load_dataset", "measure_dataset", "save_dataset",
-        "write_table",
-    ),
+    "transfer": ("DataSet", "SpectralSample", "generate_dataset", "load_dataset", "measure_dataset", "save_dataset"),
     "sampling": ("SamplingPlan", "approximate_resonances", "weyl_sample"),
     "rom": (
         "DEFAULT_TRUNCATION_TOL", "LanczosFactors", "LoewnerPencil", "build_loewner", "lanczos", "lsl_fields",
@@ -44,7 +41,7 @@ _EXPORTS = {
     ),
     "experiment": (
         "ExperimentConfig", "PRESETS", "load_config", "preset_config", "preset_potential", "read_summary",
-        "run_experiment",
+        "run_experiment", "write_table",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

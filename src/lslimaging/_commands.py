@@ -13,7 +13,7 @@ from .errors import stage
 from .grid import Grid
 from .imaging import DEFAULT_REL_THRESHOLD, DEFAULT_GRID_NODES, METHODS, reconstruct
 from .rom import DEFAULT_TRUNCATION_TOL
-from .transfer import _write_reconstruction, generate_dataset, load_dataset, save_dataset
+from .transfer import _reconstruction_table, _write_rows, generate_dataset, load_dataset, save_dataset
 
 
 def _parse_overrides(pairs):
@@ -54,7 +54,8 @@ def _cmd_reconstruct(args) -> int:
             rel_threshold=args.threshold, truncation_tol=args.truncation_tol,
         )
     with stage("write-output"):
-        _write_reconstruction(args.out, grid.nodes, np.full(grid.n, np.nan), {args.method: result.p_est}, METHODS)
+        names, columns = _reconstruction_table(grid.nodes, np.full(grid.n, np.nan), {args.method: result.p_est}, METHODS)
+        _write_rows(args.out, " ".join(names), columns)
     print(
         f"method={result.method} rank={result.rank} "
         f"residual={result.residual_norm:.6e} -> {args.out}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
 from .sampling import weyl_sample
-from .transfer import (_FMT, DataSet, _check_label, _Text, _write_reconstruction, generate_dataset, save_dataset,
-                       write_table)
+from .transfer import (_FMT, DataSet, _check_label, _reconstruction_table, _Text, _write_rows, generate_dataset,
+                       save_dataset)
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -200,6 +200,18 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 
 # -- output writers ---------------------------------------------------------
 
+def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Whitespace-separated table: one header line, 17-significant-digit rows.
+
+    A column is an array, or a transfer._Text written as is, as run_experiment
+    passes the node and background-field text it keeps. Raises ValueError
+    unless there is one equal-length column per name.
+    """
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
+    _write_rows(path, " ".join(names), columns)
+
+
 def default_internal_lambda(lambdas: np.ndarray) -> float:
     """Midpoint of the middle pair of sample points: between, never on, samples."""
     if lambdas.size == 1:
@@ -273,8 +285,8 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
         paths = {name.split(".")[0]: outdir / name for name in OUTPUT_FILES}
         save_dataset(data, paths["dataset_true"])
         save_dataset(data0, paths["dataset_background"])
-        _write_reconstruction(paths["reconstruction"], nodes_text, p_true,
-                              {m: r.p_est for m, r in results.items()}, METHODS)
+        write_table(paths["reconstruction"],
+                    *_reconstruction_table(nodes_text, p_true, {m: r.p_est for m, r in results.items()}, METHODS))
         write_table(
             paths["internal_solution"],
             ("x", "u_true", "u_background", "u_lsl"),

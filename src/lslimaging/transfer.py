@@ -147,24 +147,11 @@ def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarra
     Path(path).write_text("\n".join([header] + [row % r for r in rows]) + "\n", encoding="utf-8")
 
 
-def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Whitespace-separated table: one header line, 17-significant-digit rows.
-
-    A column is an array, or a _Text written as is, as run_experiment
-    passes the node and background-field text it keeps. Raises ValueError
-    unless there is one equal-length column per name.
-    """
-    if len(names) != len(columns):
-        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
-    _write_rows(path, " ".join(names), columns)
-
-
-def _write_reconstruction(path: Union[str, Path], x, p_true, estimates: Mapping[str, np.ndarray],
-                          methods: Sequence[str]) -> None:
-    """The reconstruction table x, p_true, p_<method> for each of `methods`; nan for a method not in `estimates`."""
+def _reconstruction_table(x, p_true, estimates: Mapping[str, np.ndarray], methods: Sequence[str]):
+    """The reconstruction table's column names and columns: x, p_true, p_<method> for each of
+    `methods`; nan for a method not in `estimates`."""
     nan_col = np.full(len(p_true), np.nan)
-    write_table(path, ("x", "p_true", *(f"p_{m}" for m in methods)),
-                (x, p_true, *(estimates.get(m, nan_col) for m in methods)))
+    return ("x", "p_true", *(f"p_{m}" for m in methods)), (x, p_true, *(estimates.get(m, nan_col) for m in methods))
 
 
 def load_dataset(path: Union[str, Path]) -> DataSet:

@@ -151,8 +151,8 @@ def test_nested_and_concurrent_entries_keep_one_thread_until_the_last_exits(coun
 
 
 # a CLI process, started as `python -m lslimaging.cli` or as the `lslimaging` console
-# script; the fresh interpreter reports main()'s status, OpenBLAS's count, the variable
-# and, on Linux, its thread count
+# script, and a fresh interpreter's library call main(ARGS); the interpreter reports
+# main()'s status, OpenBLAS's count, the variable and, on Linux, its thread count
 ENTRIES = {
     "python-m": (
         "import runpy\n"
@@ -170,6 +170,7 @@ ENTRIES = {
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
     ),
+    "library-main": "import lslimaging.cli\nstatus = lslimaging.cli.main(ARGS)\n",
 }
 REPORT = (
     "from lslimaging._lapack import one_blas_thread\n"
