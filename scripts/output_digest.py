@@ -15,7 +15,9 @@ a stale internal_lambda shows. Last, `inproc-step-n40-2threads/` reruns
 afterwards; its files must hash as `exp-step-n40/`'s do, so bytes that depend
 on the caller's BLAS thread count show. (A CLI process always runs OpenBLAS
 on one thread, whatever OPENBLAS_NUM_THREADS says, so only an in-process run
-can set another count.) Prints one sorted
+can set another count.) `inproc-gaussian-L2.5/` runs the gaussian preset at
+L = 2.5 with rel_threshold 1e-3 on a small grid, so a change to how the
+summary writes a non-default L, threshold or error shows. Prints one sorted
 `sha256  name` line per output file, per stdout, and per stderr plus exit
 code. Paths in the outputs are relative to the temporary directory, so two
 trees give comparable lines:
@@ -145,6 +147,8 @@ def main() -> int:
             run_experiment(preset_config("step", N=40, outdir=work / "inproc-step-n40-2threads"))
         finally:
             one_blas_thread.set(saved)
+        run_experiment(preset_config("gaussian", L=2.5, rel_threshold=1e-3, n=401, N=3, f=3,
+                                     outdir=work / "inproc-gaussian-L2.5"))
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":
                 lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")

@@ -21,10 +21,7 @@ _EXPORTS = {
         "SampleAlignmentError",
     ),
     "grid": ("Grid",),
-    "potentials": (
-        "GaussianPotential", "Potential", "StepPotential", "TabulatedPotential", "ZeroPotential",
-        "constant_potential",
-    ),
+    "potentials": ("GaussianPotential", "Potential", "StepPotential", "TabulatedPotential", "ZeroPotential"),
     "forward": (
         "RESONANCE_RTOL", "Snapshot", "SnapshotMatrix", "TridiagonalOperator", "assemble_operator",
         "compute_snapshot_matrix", "operator_eigenvalues", "resolvent_apply", "solve_forward",

@@ -11,7 +11,7 @@ import numpy as np
 from ._lapack import one_blas_thread
 from .errors import stage
 from .forward import solve_forward
-from .grid import Grid, _check_length
+from .grid import Grid, _check_length, _check_number
 from .imaging import (
     DEFAULT_GRID_NODES,
     DEFAULT_REL_THRESHOLD,
@@ -41,7 +41,7 @@ OUTPUT_FILES = (
 class ExperimentConfig:
     """Everything one experiment run needs, validated up front.
 
-    The one exception is internal_lambda: a non-finite value is accepted here
+    The one exception is internal_lambda: a non-finite number is accepted here
     and rejected by run_experiment before any forward sweep.
     """
 
@@ -58,6 +58,10 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.potential, Potential):
+            raise ValueError(f"potential must be a Potential, got {self.potential!r}")
+        if self.internal_lambda is not None:
+            _check_number("internal_lambda", self.internal_lambda)
         object.__setattr__(self, "outdir", Path(self.outdir))
         if isinstance(self.methods, str):  # tuple() would split it into letters
             raise ValueError(f"methods must be a sequence of method names, got the string {self.methods!r}")
@@ -221,9 +225,8 @@ def default_internal_lambda(lambdas: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=1)
-def _background_columns(L: float, n: int, lam: float) -> Tuple[_Text, np.ndarray, _Text]:
+def _background_columns(grid: Grid, lam: float) -> Tuple[_Text, np.ndarray, _Text]:
     """Columns no medium changes: the node text and the read-only background field at lam, with its text."""
-    grid = Grid(L, n)
     u = solve_forward(ZeroPotential(), lam, grid).values
     u.flags.writeable = False
     return _Text(grid.nodes), u, _Text(u)
@@ -275,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     with stage("internal-solution"):
         lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
         u_true = solve_forward(config.potential, lam_star, grid).values
-        nodes_text, u_bg, u_bg_text = _background_columns(grid.L, grid.n, lam_star)
+        nodes_text, u_bg, u_bg_text = _background_columns(grid, lam_star)
         u_lsl = (lsl_internal(background.V0, *results["lsl"].factors, lam_star).values
                  if "lsl" in results else np.full(grid.n, np.nan))
 
@@ -293,31 +296,24 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             (nodes_text, u_true, u_bg_text, u_lsl),
         )
 
-        lines = [
-            f"label = {config.label}",
-            "L = " + _FMT % config.L,
-            f"n = {config.n}",
-            f"N = {config.N}",
-            f"f = {config.f}",
-            f"m = {plan.m}",
-            f"methods = {','.join(config.methods)}",
-            "rel_threshold = " + _FMT % config.rel_threshold,
-            "truncation_tol = " + _FMT % config.truncation_tol,
-            "internal_lambda = " + _FMT % lam_star,
-            "err_internal_background = " + _FMT % relative_l2_error(u_bg, u_true, grid),
-            "err_internal_lsl = " + _FMT % relative_l2_error(u_lsl, u_true, grid),
-        ]
+        summary = {
+            "label": config.label, "L": config.L, "n": config.n, "N": config.N, "f": config.f, "m": plan.m,
+            "methods": ",".join(config.methods), "rel_threshold": config.rel_threshold,
+            "truncation_tol": config.truncation_tol, "internal_lambda": lam_star,
+            "err_internal_background": relative_l2_error(u_bg, u_true, grid),
+            "err_internal_lsl": relative_l2_error(u_lsl, u_true, grid),
+        }
         for method in METHODS:
             res = results.get(method)
             err, residual, rank = (np.nan, np.nan, 0) if res is None else (
                 relative_l2_error(res.p_est, p_true, grid), res.residual_norm, res.rank)
-            lines += [f"err_{method} = " + _FMT % err,
-                      f"residual_{method} = " + _FMT % residual,
-                      f"rank_{method} = {rank}"]
+            summary.update({f"err_{method}": err, f"residual_{method}": residual, f"rank_{method}": rank})
         for method in METHODS:
-            values = results[method].singular_values if method in results else ()
-            lines.append(f"singular_values_{method} = " + " ".join(_FMT % v for v in values))
-        paths["summary"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+            summary[f"singular_values_{method}"] = results[method].singular_values if method in results else ()
+        # text as is; every number through _FMT, the numbers of a sequence space-separated
+        paths["summary"].write_text("".join(
+            f"{key} = {value if isinstance(value, str) else ' '.join(_FMT % v for v in np.ravel(value))}\n"
+            for key, value in summary.items()), encoding="utf-8")
     return paths
 
 def read_summary(path: Union[str, Path]) -> Dict[str, str]:

@@ -1,11 +1,20 @@
 """Uniform 1D grid with trapezoid quadrature weights."""
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a real number; text such as "2" is not one."""
+    if not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_length(L: float) -> float:
-    """L as a float; raises ValueError unless it is positive and finite."""
+    """L as a float; raises ValueError unless it is a positive and finite number."""
+    _check_number("domain length", L)
     L = float(L)
     if not np.isfinite(L) or L <= 0.0:
         raise ValueError(f"domain length must be positive and finite, got {L}")

@@ -115,8 +115,3 @@ class TabulatedPotential(Potential):
     @property
     def label(self) -> str:
         return f"tabulated(n={np.asarray(self.values).size})"
-
-
-def constant_potential(value: float, L: float) -> StepPotential:
-    """p(x) = value everywhere on (0, L), as a single full-domain step piece."""
-    return StepPotential(((0.0, L, float(value)),))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _check_length
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
@@ -32,9 +34,7 @@ def approximate_resonances(N: int, L: float) -> np.ndarray:
     """The first N+1 background resonances r_k = -(k pi / L)^2, k = 0..N."""
     if not np.isfinite(N) or int(N) != N or N < 0:
         raise ValueError(f"resonance index N must be an integer >= 0, got {N}")
-    if not (np.isfinite(L) and L > 0):
-        raise ValueError(f"domain length must be positive and finite, got {L}")
-    return -((np.arange(int(N) + 1) * np.pi / float(L)) ** 2)
+    return -((np.arange(int(N) + 1) * np.pi / _check_length(L)) ** 2)
 
 
 def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
@@ -49,9 +49,7 @@ def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
         raise ValueError(f"interval count N must be an integer >= 1, got {N}")
     if not np.isfinite(f) or int(f) != f or f < 1:
         raise ValueError(f"points per interval f must be an integer >= 1, got {f}")
-    if not (np.isfinite(L) and L > 0):
-        raise ValueError(f"domain length must be positive, got {L}")
-    r = approximate_resonances(int(N), float(L))
+    r = approximate_resonances(int(N), L)
     fractions = np.arange(1, int(f) + 1) / (int(f) + 1)
     lambdas = (r[:-1, None] + fractions[None, :] * (r[1:, None] - r[:-1, None])).ravel()
     return SamplingPlan(N=int(N), f=int(f), L=float(L), lambdas=np.sort(lambdas))

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .forward import SnapshotMatrix, compute_snapshot_matrix
-from .grid import Grid
+from .grid import Grid, _check_number
 from .potentials import Potential
 
 # Shortest decimal that round-trips a double exactly.
@@ -76,6 +76,7 @@ class DataSet:
     label: str = ""
 
     def __init__(self, L: float, samples: Union[Sequence[SpectralSample], np.ndarray], label: str = ""):
+        _check_number("domain length", L)
         if not (np.isfinite(L) and L > 0):
             raise ValueError(f"domain length must be positive, got {L}")
         _check_label(label)

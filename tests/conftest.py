@@ -6,8 +6,8 @@ import pytest
 
 import lslimaging.experiment
 import lslimaging.imaging
-from lslimaging import (GaussianPotential, Grid, StepPotential, ZeroPotential, constant_potential, generate_dataset,
-                        save_dataset, weyl_sample)
+from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, generate_dataset, save_dataset, weyl_sample
+from oracles import constant_potential
 
 # One line per acceptance criterion, printed after every run that touched
 # tests/test_acceptance.py.

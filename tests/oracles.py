@@ -14,7 +14,8 @@ the closed-form zero-medium transfer function analytic_background_transfer
 with its PoleError, the per-snapshot measurements measure_transfer and
 transfer_derivative, the operator's apply(op, v) and toarray(op), a
 dataset's rows as records, samples(data), and solve_forward_operator, the
-forward solve on an assembled operator (the package's own solver route).
+forward solve on an assembled operator (the package's own solver route),
+and constant_potential, a constant medium as one full-domain step piece.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from lslimaging import (
     Snapshot,
     SnapshotMatrix,
     SpectralSample,
+    StepPotential,
     TridiagonalOperator,
     assemble_operator,
     resolvent_apply,
@@ -270,3 +272,8 @@ def samples(data: DataSet) -> Tuple[SpectralSample, ...]:
 def solve_forward_operator(op: TridiagonalOperator, lam: float, grid: Grid) -> Snapshot:
     """Like solve_forward, reusing an already-assembled operator."""
     return Snapshot(lam=float(lam), values=resolvent_apply(op, grid, lam, _boundary_source(grid)))
+
+
+def constant_potential(value: float, L: float) -> StepPotential:
+    """p(x) = value everywhere on (0, L), as a single full-domain step piece."""
+    return StepPotential(((0.0, L, float(value)),))

@@ -15,6 +15,7 @@ import scipy.linalg
 
 import oracles
 from conftest import weighted_rel_err
+from oracles import constant_potential
 from lslimaging import (
     GaussianPotential,
     Grid,
@@ -24,7 +25,6 @@ from lslimaging import (
     background_rom,
     build_loewner,
     compute_snapshot_matrix,
-    constant_potential,
     generate_dataset,
     lanczos,
     lsl_internal,

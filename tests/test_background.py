@@ -96,15 +96,21 @@ def test_warm_run_on_another_grid_writes_the_bytes_of_a_cold_run(tmp_path, first
 def test_kept_text_is_the_format_of_the_kept_arrays(tmp_path):
     run_experiment(preset_config("gaussian", outdir=tmp_path, **FAST))
     lam = default_internal_lambda(PLAN.lambdas)
-    nodes_text, u, text = _background_columns(GRID.L, GRID.n, lam)
-    assert _background_columns(GRID.L, GRID.n, lam)[2] is text  # the field at the last lam is kept
+    nodes_text, u, text = _background_columns(GRID, lam)
+    assert _background_columns(GRID, lam)[2] is text  # the field at the last lam is kept
     assert np.array_equal(u, solve_forward(ZeroPotential(), lam, GRID).values)
     assert text == tuple(_FMT % v for v in u.tolist())
     assert nodes_text == tuple(_FMT % v for v in GRID.nodes.tolist())
-    _, other, other_text = _background_columns(GRID.L, GRID.n, -30.0)  # a new lam replaces it
+    _, other, other_text = _background_columns(GRID, -30.0)  # a new lam replaces it
     assert other_text == tuple(_FMT % v for v in other.tolist())
-    _, again, again_text = _background_columns(GRID.L, GRID.n, lam)
+    _, again, again_text = _background_columns(GRID, lam)
     assert again_text is not text and again_text == text and np.array_equal(again, u)
+
+
+def test_equal_grids_share_the_kept_columns():
+    lam = default_internal_lambda(PLAN.lambdas)
+    kept = _background_columns(Grid(1.0, FAST["n"]), lam)
+    assert _background_columns(Grid(1, FAST["n"]), lam) is kept
 
 
 def given_background(layout):
@@ -151,7 +157,7 @@ def test_every_cached_array_is_read_only(tmp_path):
     _, factors = background_rom(cached_model().data0, GRID, truncation_tol=1e-10)
     model = cached_model()
     assert model._born is not None  # kept by run_experiment's Born reconstruct
-    _, field, _ = _background_columns(GRID.L, GRID.n, default_internal_lambda(PLAN.lambdas))
+    _, field, _ = _background_columns(GRID, default_internal_lambda(PLAN.lambdas))
     arrays = [model.V0.V, model.V0.lambdas, model.data0.lambdas, model.data0.F, model.data0.dF,
               factors.T, factors.Q, *model._born, field]
     for a in arrays:

@@ -172,6 +172,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             preset_config(kind, L=float(L))
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("potential", "gaussian", "^potential must be a Potential, got 'gaussian'$"),
+        ("internal_lambda", "-30", "^internal_lambda must be a number, got '-30'$"),
+    ])
+    def test_a_field_that_is_not_its_type_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{"potential": ZeroPotential(), name: value})
+
     def test_methods_given_as_one_string_rejected(self):
         with pytest.raises(ValueError, match="^methods must be a sequence of method names, got the string 'lsl'$"):
             ExperimentConfig(potential=ZeroPotential(), methods="lsl")

@@ -17,13 +17,12 @@ from lslimaging import (
     ZeroPotential,
     assemble_operator,
     compute_snapshot_matrix,
-    constant_potential,
     operator_eigenvalues,
     resolvent_apply,
     solve_forward,
     weyl_sample,
 )
-from oracles import PoleError, analytic_background_transfer, measure_transfer
+from oracles import PoleError, analytic_background_transfer, constant_potential, measure_transfer
 
 COTH_1 = math.cosh(1.0) / math.sinh(1.0)  # 1.3130352854993312
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lslimaging import Grid
+from lslimaging import DataSet, Grid, approximate_resonances, weyl_sample
 
 
 def test_nodes_span_the_domain_exactly():
@@ -38,6 +38,17 @@ def test_inner_product_of_ones_is_L():
 def test_invalid_arguments_rejected(L, n):
     with pytest.raises(ValueError, match="must be"):  # the module's message, not int()'s
         Grid(L, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Grid("2", 5),
+    lambda: weyl_sample(1, 1, "2"),
+    lambda: approximate_resonances(1, "2"),
+    lambda: DataSet(L="2", samples=[(-6.0, 0.2, -0.1)]),
+], ids=["Grid", "weyl_sample", "approximate_resonances", "DataSet"])
+def test_a_domain_length_that_is_not_a_number_is_rejected(call):
+    with pytest.raises(ValueError, match="^domain length must be a number, got '2'$"):
+        call()
 
 
 def test_equality_by_parameters():

@@ -51,7 +51,7 @@ PUBLIC_API = [
     "ResonanceProximityError", "RomResonanceError", "SampleAlignmentError", "SamplingPlan", "Snapshot",
     "SnapshotMatrix", "SpectralSample", "StepPotential", "TabulatedPotential", "TridiagonalOperator",
     "ZeroPotential", "approximate_resonances", "assemble_operator", "assemble_system", "background_rom",
-    "build_loewner", "compute_snapshot_matrix", "constant_potential", "generate_dataset", "lanczos",
+    "build_loewner", "compute_snapshot_matrix", "generate_dataset", "lanczos",
     "load_config", "load_dataset", "lsl_fields", "lsl_internal", "measure_dataset", "operator_eigenvalues",
     "preset_config", "preset_potential", "read_summary", "reconstruct", "relative_l2_error", "resolvent_apply",
     "run_experiment", "save_dataset", "solve_forward", "solve_regularized", "weyl_sample", "write_table",

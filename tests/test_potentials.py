@@ -8,8 +8,8 @@ from lslimaging import (
     TabulatedPotential,
     ZeroPotential,
     assemble_operator,
-    constant_potential,
 )
+from oracles import constant_potential
 
 
 @pytest.fixture

@@ -63,6 +63,15 @@ def test_resonances_reject_invalid_arguments(N, L):
         approximate_resonances(N, L)
 
 
+@pytest.mark.parametrize("L", [0, -3, np.inf, np.nan])
+def test_both_report_a_bad_L_as_the_grid_does(L):
+    message = f"^domain length must be positive and finite, got {float(L)}$"
+    with pytest.raises(ValueError, match=message):
+        weyl_sample(1, 1, L)
+    with pytest.raises(ValueError, match=message):
+        approximate_resonances(1, L)
+
+
 def test_resonances_take_an_integral_float_count_and_zero():
     assert np.array_equal(approximate_resonances(3.0, 2.0), approximate_resonances(3, 2.0))
     assert np.array_equal(approximate_resonances(0, 1.0), [0.0])
