@@ -24,8 +24,13 @@ trees give comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 
-Run it on two trees and `diff` the results. Bytes are promised only on one
-machine and library stack, so no reference digest is kept.
+Run it on two trees and `diff` the results, at OPENBLAS_NUM_THREADS=1 and =2.
+Bytes are promised only on one machine and library stack, so no reference
+digest is kept. The digest, not the test suite, catches a change in the
+memory layout of a BLAS operand, which picks another kernel and so other
+roundoff: passing rom.lsl_fields' eigenvector matrix to its product in C order
+instead of Fortran order changed 26 of the 114 lines (18 output files, 8
+stdouts) while all 491 tests then in the suite passed.
 """
 from __future__ import annotations
 

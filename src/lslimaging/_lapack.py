@@ -1,4 +1,7 @@
 """The five LAPACK routines the package calls and its BLAS thread limit, on numpy's own library.
+They are what numpy.linalg lacks: the operator's n-sized tridiagonal solve (gtsv), Sturm count
+(stebz) and spectrum (stevd, eigenvalues only), and the TSVD's blocked QR pair (geqrt, gemqrt);
+numpy's eigh solves the dense symmetric eigenproblems, M in rom.lanczos and T in rom.lsl_fields.
 
 numpy's wheels link one OpenBLAS, LAPACK included, into numpy.linalg._umath_linalg,
 and every matmul and numpy.linalg call runs on it; binding the routines there keeps
@@ -15,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import threading
-from typing import Optional, Tuple
 
 import numpy as np
 import numpy.linalg._umath_linalg
@@ -131,20 +133,17 @@ def dstebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> int:
     return count.value
 
 
-def dstevd(d: np.ndarray, e: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(w, Z): eigenvalues (ascending) of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, and its eigenvectors as Z's columns when `vectors`, else None."""
+def dstevd(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The eigenvalues (ascending) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e: stevd without eigenvectors."""
     n = d.size
     if e.shape != (n - 1,):
         raise ValueError(f"stevd needs n-1 off-diagonal values, got {e.shape} for n = {n}")
-    # stevd destroys e; the spare slot gives a 1 x 1 matrix a buffer to point at
-    w, e, info = np.array(d, dtype=float), np.append(np.asarray(e, dtype=float), 0.0), ctypes.c_int64()
-    Z = np.empty((n, n) if vectors else (1, 1), order="F")
-    lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if vectors else (1, 1)
-    _STEVD(b"V" if vectors else b"N", _int(n), _ptr(w), _ptr(e), _ptr(Z), _int(Z.shape[0]), _ptr(np.empty(lwork)),
-           _int(lwork), _ptr(np.empty(liwork, dtype=_I64), _I64), _int(liwork), ctypes.byref(info), 1)
+    w, e, info = np.array(d, dtype=float), np.array(e, dtype=float), ctypes.c_int64()  # stevd destroys e
+    _STEVD(b"N", _int(n), _ptr(w), _ptr(e), _ptr(np.empty(1)), _ONE, _ptr(np.empty(1)), _ONE,
+           _ptr(np.empty(1, dtype=_I64), _I64), _ONE, ctypes.byref(info), 1)
     _check("stevd", info)
-    return w, (Z if vectors else None)
+    return w
 
 
 def dgeqrt(a: np.ndarray, nb: int) -> np.ndarray:

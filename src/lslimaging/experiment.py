@@ -4,14 +4,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._lapack import one_blas_thread
 from .errors import stage
 from .forward import solve_forward
-from .grid import Grid, _check_length, _check_number
+from .grid import Grid, _check_fraction, _check_length, _check_number
 from .imaging import (
     DEFAULT_GRID_NODES,
     DEFAULT_REL_THRESHOLD,
@@ -22,7 +22,7 @@ from .imaging import (
     relative_l2_error,
 )
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, _check_fraction, lsl_internal
+from .rom import DEFAULT_TRUNCATION_TOL, lsl_internal
 from .sampling import weyl_sample
 from .transfer import (_FMT, DataSet, _check_label, _reconstruction_table, _Text, _write_rows, generate_dataset,
                        save_dataset)
@@ -65,6 +65,8 @@ class ExperimentConfig:
         object.__setattr__(self, "outdir", Path(self.outdir))
         if isinstance(self.methods, str):  # tuple() would split it into letters
             raise ValueError(f"methods must be a sequence of method names, got the string {self.methods!r}")
+        if not isinstance(self.methods, Iterable):
+            raise ValueError(f"methods must be a sequence of method names, got {self.methods!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.label:
             object.__setattr__(self, "label", self.potential.label)

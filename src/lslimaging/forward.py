@@ -114,13 +114,13 @@ def operator_eigenvalues(op: TridiagonalOperator, grid: Grid) -> np.ndarray:
     These are the eigenvalues of the pencil (A, D) with D = weights/h,
     i.e. of the plain collocation matrix before row scaling; for p = 0
     they equal (4/h^2) sin^2(k pi h / (2L)) -> (k pi / L)^2. The route is
-    LAPACK stevd on the D-scaled diagonals, eigenvalues only (see `_lapack`):
-    the driver scipy.linalg.eigvalsh_tridiagonal uses for the full spectrum,
-    whose values these equal bitwise.
+    LAPACK stevd on the D-scaled diagonals, in `_lapack.dstevd`'s only mode,
+    eigenvalues without eigenvectors: the driver scipy.linalg.eigvalsh_tridiagonal
+    uses for the full spectrum, whose values these equal bitwise.
     """
     _check_size(op, grid)
     _, bd, be, *_ = op._pencil
-    return _STEVD(bd, be, vectors=False)[0]
+    return _STEVD(bd, be)
 
 
 def _check_size(op: TridiagonalOperator, grid: Grid) -> None:

@@ -12,6 +12,20 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; raises ValueError unless it is a whole number >= minimum."""
+    _check_number(name, value)
+    if not np.isfinite(value) or int(value) != value or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_fraction(name: str, value) -> None:
+    _check_number(name, value)
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
 def _check_length(L: float) -> float:
     """L as a float; raises ValueError unless it is a positive and finite number."""
     _check_number("domain length", L)
@@ -30,13 +44,10 @@ class Grid:
     """
 
     def __init__(self, L: float, n: int):
-        L = _check_length(L)
-        if not np.isfinite(n) or int(n) != n or n < 3:
-            raise ValueError(f"node count must be an integer >= 3, got {n}")
-        self.L = L
-        self.n = int(n)
-        self.h = L / (self.n - 1)
-        self.nodes = np.linspace(0.0, L, self.n)
+        self.L = _check_length(L)
+        self.n = _check_count("node count", n, 3)
+        self.h = self.L / (self.n - 1)
+        self.nodes = np.linspace(0.0, self.L, self.n)
         weights = np.full(self.n, self.h)
         weights[0] = weights[-1] = 0.5 * self.h
         self.weights = weights

@@ -16,9 +16,9 @@ import numpy as np
 from ._lapack import dgemqrt, dgeqrt, one_blas_thread
 from .errors import DegenerateSystemError, SampleAlignmentError
 from .forward import SnapshotMatrix, compute_snapshot_matrix
-from .grid import Grid
+from .grid import Grid, _check_fraction
 from .potentials import ZeroPotential
-from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, _check_fraction, build_loewner, lanczos, lsl_fields
+from .rom import DEFAULT_TRUNCATION_TOL, LanczosFactors, build_loewner, lanczos, lsl_fields
 from .transfer import DataSet, measure_dataset
 
 DEFAULT_REL_THRESHOLD = 1e-8

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _check_number
 
 
 class Potential:
@@ -47,6 +47,8 @@ class GaussianPotential(Potential):
     width: float
 
     def __post_init__(self):
+        for name in ("amplitude", "center", "width"):
+            _check_number(name, getattr(self, name))
         if not (np.isfinite(self.width) and self.width > 0):
             raise ValueError(f"width must be positive, got {self.width}")
         if not (np.isfinite(self.amplitude) and np.isfinite(self.center)):

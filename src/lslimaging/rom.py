@@ -10,11 +10,11 @@ when estimating internal fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from ._lapack import dstevd, one_blas_thread
+from ._lapack import one_blas_thread
 from .errors import (
     DegenerateMassError,
     DegenerateSourceError,
@@ -22,6 +22,7 @@ from .errors import (
     RomResonanceError,
 )
 from .forward import RESONANCE_RTOL, Snapshot, SnapshotMatrix
+from .grid import _check_fraction
 from .transfer import DataSet
 
 # Relative eigenvalue floor for the mass matrix, and the Lanczos stopping
@@ -34,11 +35,6 @@ DEFAULT_TRUNCATION_TOL = 1e-14
 # relative level; forward-solver roundoff routinely produces spurious
 # negative eigenvalues around -1e-11 * lambda_max on exact data.
 _INDEFINITE_RTOL = 1e-8
-
-
-def _check_fraction(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +183,11 @@ def lsl_fields(
     normfactor * V0 Q0 (T + lam I)^{-1} e_1, truncated to the common rank k.
     Both factorizations must come from the same sample points and carry the
     canonical sign convention, otherwise columns pair up wrongly. One
-    eigendecomposition T = S diag(theta) S^T serves every lam; the first lam
-    within RESONANCE_RTOL * max(1, |lam|) of some -theta raises RomResonanceError.
-    A non-finite lam raises ValueError.
+    eigendecomposition T = S diag(theta) S^T, numpy's eigh, serves every lam;
+    the first lam within RESONANCE_RTOL * max(1, |lam|) of some -theta raises
+    RomResonanceError. A non-finite lam or T raises ValueError. S enters S @ y in
+    Fortran order, as LAPACK returns it: eigh hands back a C-ordered copy, which
+    sends the one-lam product through another BLAS kernel and changes the last bits.
     """
     if V0.m != factors0.Q.shape[0] or factors.Q.shape[0] != factors0.Q.shape[0]:
         raise DimensionMismatchError(
@@ -202,26 +200,17 @@ def lsl_fields(
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise ValueError(f"spectral parameters must be finite, got {lams[~np.isfinite(lams)].tolist()}")
-    theta, S = _tridiagonal_eigh(factors.T[:k, :k])
+    T = factors.T[:k, :k]
+    if not np.all(np.isfinite(T)):  # eigh would return NaNs without raising
+        raise ValueError("the reduced model's T must be finite")
+    theta, S = np.linalg.eigh(T)
     shifted = theta[:, None] + lams
     distance = np.min(np.abs(shifted), axis=0)
     near = np.flatnonzero(distance < RESONANCE_RTOL * np.maximum(1.0, np.abs(lams)))
     if near.size:
         raise RomResonanceError(float(lams[near[0]]), float(distance[near[0]]))
-    Y = S @ (S[0][:, None] / shifted)
+    Y = np.asfortranarray(S) @ (S[0][:, None] / shifted)
     return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ Y))
-
-
-def _tridiagonal_eigh(T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the symmetric tridiagonal T.
-
-    LAPACK stevd (see `_lapack`), the driver scipy.linalg.eigh_tridiagonal
-    uses for a full decomposition, on the same inputs; both results equal
-    its bitwise, a 1 x 1 T included.
-    """
-    if not np.all(np.isfinite(T)):
-        raise ValueError("the reduced model's T must be finite")
-    return dstevd(np.diag(T), np.diag(T, 1), vectors=True)
 
 
 def lsl_internal(

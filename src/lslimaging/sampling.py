@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _check_length
+from .grid import _check_count, _check_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +32,8 @@ class SamplingPlan:
 
 def approximate_resonances(N: int, L: float) -> np.ndarray:
     """The first N+1 background resonances r_k = -(k pi / L)^2, k = 0..N."""
-    if not np.isfinite(N) or int(N) != N or N < 0:
-        raise ValueError(f"resonance index N must be an integer >= 0, got {N}")
-    return -((np.arange(int(N) + 1) * np.pi / _check_length(L)) ** 2)
+    N = _check_count("resonance index N", N, 0)
+    return -((np.arange(N + 1) * np.pi / _check_length(L)) ** 2)
 
 
 def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
@@ -45,11 +44,8 @@ def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
     returned sorted ascending; every point is strictly negative and at
     least |r_{k+1} - r_k|/(f+1) away from its interval's endpoints.
     """
-    if not np.isfinite(N) or int(N) != N or N < 1:
-        raise ValueError(f"interval count N must be an integer >= 1, got {N}")
-    if not np.isfinite(f) or int(f) != f or f < 1:
-        raise ValueError(f"points per interval f must be an integer >= 1, got {f}")
-    r = approximate_resonances(int(N), L)
-    fractions = np.arange(1, int(f) + 1) / (int(f) + 1)
+    N, f = _check_count("interval count N", N, 1), _check_count("points per interval f", f, 1)
+    r = approximate_resonances(N, L)
+    fractions = np.arange(1, f + 1) / (f + 1)
     lambdas = (r[:-1, None] + fractions[None, :] * (r[1:, None] - r[:-1, None])).ravel()
-    return SamplingPlan(N=int(N), f=int(f), L=float(L), lambdas=np.sort(lambdas))
+    return SamplingPlan(N=N, f=f, L=float(L), lambdas=np.sort(lambdas))

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from lslimaging import DataSet, Grid, approximate_resonances, weyl_sample
+from lslimaging import (DataSet, ExperimentConfig, GaussianPotential, Grid, LoewnerPencil, ZeroPotential,
+                        approximate_resonances, lanczos, reconstruct, weyl_sample)
+
+# one sample of a dataset, enough for the checks that run before any solve
+SAMPLE = DataSet(L=1.0, samples=[(-6.0, 0.2, -0.1)])
 
 
 def test_nodes_span_the_domain_exactly():
@@ -48,6 +54,27 @@ def test_invalid_arguments_rejected(L, n):
 ], ids=["Grid", "weyl_sample", "approximate_resonances", "DataSet"])
 def test_a_domain_length_that_is_not_a_number_is_rejected(call):
     with pytest.raises(ValueError, match="^domain length must be a number, got '2'$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExperimentConfig(ZeroPotential(), n="401"), "node count must be a number, got '401'"),
+    (lambda: ExperimentConfig(ZeroPotential(), N="3"), "interval count N must be a number, got '3'"),
+    (lambda: ExperimentConfig(ZeroPotential(), f="4"), "points per interval f must be a number, got '4'"),
+    (lambda: ExperimentConfig(ZeroPotential(), rel_threshold="0.5"), "rel_threshold must be a number, got '0.5'"),
+    (lambda: ExperimentConfig(ZeroPotential(), truncation_tol="1e-8"), "truncation_tol must be a number, got '1e-8'"),
+    (lambda: ExperimentConfig(ZeroPotential(), methods=5), "methods must be a sequence of method names, got 5"),
+    (lambda: Grid(1.0, "401"), "node count must be a number, got '401'"),
+    (lambda: weyl_sample("3", 2, 1.0), "interval count N must be a number, got '3'"),
+    (lambda: approximate_resonances("3", 1.0), "resonance index N must be a number, got '3'"),
+    (lambda: lanczos(LoewnerPencil(np.eye(1), np.eye(1), np.ones(1), np.ones(1)), "1e-8"),
+     "truncation_tol must be a number, got '1e-8'"),
+    (lambda: reconstruct(SAMPLE, SAMPLE, "lsl", rel_threshold="1e-8"), "rel_threshold must be a number, got '1e-8'"),
+    (lambda: GaussianPotential(5.0, 0.5, "0.1"), "width must be a number, got '0.1'"),
+], ids=["config-n", "config-N", "config-f", "config-rel_threshold", "config-truncation_tol", "config-methods",
+        "Grid", "weyl_sample", "approximate_resonances", "lanczos", "reconstruct", "GaussianPotential"])
+def test_a_count_fraction_or_parameter_of_the_wrong_type_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # not a bare TypeError from the check
         call()
 
 

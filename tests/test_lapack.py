@@ -124,6 +124,13 @@ def test_arrays_lapack_would_misread_are_refused():
         _lapack.dgtsv(e.copy(), d.astype(np.float32), e.copy(), d.copy())
     with pytest.raises(ValueError):
         _lapack.dgtsv(e.copy(), d.copy(), e[:3].copy(), d.copy())
+    with pytest.raises(ValueError, match="^stebz needs n-1 off-diagonal values"):
+        _lapack.dstebz(d, e[:3], -1.0, 1.0)
+    with pytest.raises(ValueError, match="^stevd needs n-1 off-diagonal values"):
+        _lapack.dstevd(d, e[:3])
+    V = np.ones((5, 3), order="F")
+    with pytest.raises(ValueError, match="do not fit"):
+        _lapack.dgemqrt(V, _lapack.dgeqrt(V, 3), np.ones(4))
     d.flags.writeable = False
     with pytest.raises(TypeError):
         _lapack.dgtsv(e.copy(), d, e.copy(), np.ones(5))

@@ -1,4 +1,6 @@
 """Reduced-order model: Loewner pencil, Lanczos factorization, internal fields."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,8 +31,12 @@ from lslimaging import (
     solve_forward,
     weyl_sample,
 )
-from lslimaging.rom import _tridiagonal_eigh
+from lslimaging._lapack import one_blas_thread
+from lslimaging.experiment import default_internal_lambda
 from oracles import analytic_background_transfer
+
+# orders of the random tridiagonals on both sides of stedc's branch at 25
+RANDOM_ORDERS = (1, 2, 25, 26, 60, 120)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +212,11 @@ class TestLanczos:
         with pytest.raises(DegenerateMassError):
             lanczos(pencil)
 
+    def test_mass_without_a_positive_eigenvalue_rejected(self):
+        pencil = LoewnerPencil(S=np.eye(2), M=-np.eye(2), b=np.ones(2), lambdas=np.array([-1.0, -2.0]))
+        with pytest.raises(DegenerateMassError, match="^mass matrix has no positive eigenvalues$"):
+            lanczos(pencil)
+
     def test_source_outside_retained_range_rejected(self):
         pencil = LoewnerPencil(
             S=np.eye(2), M=np.diag([1.0, 1e-20]), b=np.array([0.0, 1.0]),
@@ -379,6 +390,28 @@ class TestLslFields:
         y = scipy.linalg.solve_banded((1, 1), ab, e1)
         return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ y))
 
+    @staticmethod
+    def scipy_route_fields(V0, factors0, factors, lams):
+        """lsl_fields' expression on scipy's eigh_tridiagonal factors, which come in Fortran order."""
+        k = min(factors.k, factors0.k)
+        T = factors.T[:k, :k]
+        theta, S = scipy.linalg.eigh_tridiagonal(np.diag(T), np.diag(T, 1))
+        with one_blas_thread:
+            Y = S @ (S[0][:, None] / (theta[:, None] + np.asarray(lams)))
+            return factors.normfactor * (V0.V @ (factors0.Q[:, :k] @ Y))
+
+    @pytest.mark.parametrize("p, N", [(GaussianPotential(5.0, 0.5, 0.1), 10), (StepPotential(((0.4, 0.6, 4.0),)), 40)],
+                             ids=["gaussian-m40", "step-m160"])
+    def test_fields_equal_the_scipy_route_bitwise(self, g, p, N):
+        # the one-lam product S @ y sees S's memory layout, so a C-ordered S fails here
+        lams = weyl_sample(N, 4, 1.0).lambdas
+        V0, factors0 = background_rom(generate_dataset(ZeroPotential(), lams, g), g)
+        factors = lanczos(build_loewner(generate_dataset(p, lams, g)))
+        lam = default_internal_lambda(lams)
+        single = lsl_internal(V0, factors0, factors, lam).values
+        assert np.array_equal(single, self.scipy_route_fields(V0, factors0, factors, [lam])[:, 0])
+        assert np.array_equal(lsl_fields(V0, factors0, factors, lams), self.scipy_route_fields(V0, factors0, factors, lams))
+
     @pytest.mark.parametrize("truncation_tol", [1e-14, 1e-6])  # k = k0 and k < k0
     def test_columns_match_per_lambda_solves(self, g, gaussian_data, background_data, truncation_tol):
         V0, factors0 = background_rom(background_data, g)
@@ -393,14 +426,21 @@ class TestLslFields:
             single = lsl_internal(V0, factors0, factors, lam).values
             assert np.linalg.norm(single - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    # p None stands for a random tridiagonal T of order N; LAPACK's stedc, under
+    # both eigh routes, takes one branch at order <= 25 and another above it
     @pytest.mark.parametrize("p, N", [(ZeroPotential(), 0), (GaussianPotential(5.0, 0.5, 0.1), 10),
-                                      (StepPotential(((0.4, 0.6, 4.0),)), 40)],
-                             ids=["k1", "gaussian", "step-m160"])
+                                      (StepPotential(((0.4, 0.6, 4.0),)), 40),
+                                      *((None, k) for k in RANDOM_ORDERS)],
+                             ids=["k1", "gaussian", "step-m160", *(f"random-{k}" for k in RANDOM_ORDERS)])
     def test_eigendecomposition_equals_scipys_eigh_tridiagonal(self, g, p, N):
-        lams = weyl_sample(N, 4, 1.0).lambdas if N else [-5.0]
-        T = lanczos(build_loewner(generate_dataset(p, lams, g))).T
-        assert (T.shape[0] == 1) == (N == 0)
-        theta, S = _tridiagonal_eigh(T)
+        if p is None:
+            d, e = np.random.default_rng(N).standard_normal((2, N))
+            T = np.diag(d) + np.diag(e[1:], 1) + np.diag(e[1:], -1)
+        else:
+            lams = weyl_sample(N, 4, 1.0).lambdas if N else [-5.0]
+            T = lanczos(build_loewner(generate_dataset(p, lams, g))).T
+            assert (T.shape[0] == 1) == (N == 0)
+        theta, S = np.linalg.eigh(T)
         ref_theta, ref_S = scipy.linalg.eigh_tridiagonal(np.diag(T), np.diag(T, 1))
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(S, ref_S)
@@ -422,3 +462,18 @@ class TestLslFields:
             lsl_fields(V0, factors0, factors, [-30.0, bad])
         with pytest.raises(ValueError, match="finite"):
             lsl_internal(V0, factors0, factors, bad)
+
+    def test_non_finite_T_rejected(self, g, gaussian_data, background_data):
+        # numpy's eigh returns NaNs for it without raising
+        V0, factors0 = background_rom(background_data, g)
+        factors = lanczos(build_loewner(gaussian_data))
+        T = factors.T.copy()
+        T[1, 2] = T[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^the reduced model's T must be finite$"):
+            lsl_fields(V0, factors0, replace(factors, T=T), [-30.0])
+
+    def test_factors_without_a_common_rank_rejected(self, g, gaussian_data, background_data):
+        V0, factors0 = background_rom(background_data, g)
+        factors = lanczos(build_loewner(gaussian_data))
+        with pytest.raises(DimensionMismatchError, match="^no common retained rank$"):
+            lsl_fields(V0, factors0, replace(factors, k=0), [-30.0])
