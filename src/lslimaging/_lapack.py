@@ -95,7 +95,8 @@ def _ptr(a: np.ndarray, dtype=_F64):
     """A pointer to a's data, which must hold `dtype` in column-major order; it keeps a alive."""
     if a.dtype != dtype or not a.flags.f_contiguous:
         raise ValueError(f"LAPACK needs a column-major {dtype} array, got {a.dtype} with strides {a.strides}")
-    return _buffer(a) if a.flags.writeable else a.ctypes.data_as(ctypes.c_void_p)
+    # from_buffer refuses an empty array, but numpy allocates it a byte: a valid pointer LAPACK never reads
+    return _buffer(a) if a.flags.writeable and a.size else a.ctypes.data_as(ctypes.c_void_p)
 
 
 def _check(name: str, info: ctypes.c_int64) -> None:

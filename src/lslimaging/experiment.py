@@ -24,8 +24,7 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, lsl_internal
 from .sampling import weyl_sample
-from .transfer import (_FMT, DataSet, _check_label, _reconstruction_table, _Text, _write_rows, generate_dataset,
-                       save_dataset)
+from .transfer import DataSet, _check_label, _reconstruction_table, _Text, _write_rows, generate_dataset, save_dataset
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -207,11 +206,11 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 # -- output writers ---------------------------------------------------------
 
 def write_table(path: Union[str, Path], names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Whitespace-separated table: one header line, 17-significant-digit rows.
+    """Whitespace-separated table: one header line, then rows of '%.17g' cells.
 
-    A column is an array, or a transfer._Text written as is, as run_experiment
-    passes the node and background-field text it keeps. Raises ValueError
-    unless there is one equal-length column per name.
+    A column is an array, whose cells are its transfer._Text, or a _Text written
+    as is, as run_experiment passes the node and background-field text it keeps.
+    Raises ValueError unless there is one equal-length 1D column per name.
     """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
@@ -312,9 +311,9 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             summary.update({f"err_{method}": err, f"residual_{method}": residual, f"rank_{method}": rank})
         for method in METHODS:
             summary[f"singular_values_{method}"] = results[method].singular_values if method in results else ()
-        # text as is; every number through _FMT, the numbers of a sequence space-separated
+        # text as is; a number or a sequence of them as its _Text, space-separated
         paths["summary"].write_text("".join(
-            f"{key} = {value if isinstance(value, str) else ' '.join(_FMT % v for v in np.ravel(value))}\n"
+            f"{key} = {value if isinstance(value, str) else ' '.join(_Text(np.ravel(value)))}\n"
             for key, value in summary.items()), encoding="utf-8")
     return paths
 

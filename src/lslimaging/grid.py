@@ -6,10 +6,11 @@ from numbers import Real
 import numpy as np
 
 
-def _check_number(name: str, value) -> None:
-    """Raise ValueError unless value is a real number; text such as "2" is not one."""
-    if not isinstance(value, Real):
+def _check_number(name: str, value) -> Real:
+    """value; raises ValueError unless it is a real number, which text such as "2" and a bool are not."""
+    if not isinstance(value, Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -28,8 +29,7 @@ def _check_fraction(name: str, value) -> None:
 
 def _check_length(L: float) -> float:
     """L as a float; raises ValueError unless it is a positive and finite number."""
-    _check_number("domain length", L)
-    L = float(L)
+    L = float(_check_number("domain length", L))
     if not np.isfinite(L) or L <= 0.0:
         raise ValueError(f"domain length must be positive and finite, got {L}")
     return L

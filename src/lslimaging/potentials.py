@@ -77,7 +77,7 @@ class StepPotential(Potential):
         pieces = []
         for piece in self.pieces:
             try:
-                lo, hi, val = map(float, piece)
+                lo, hi, val = (float(_check_number("step piece entry", v)) for v in piece)  # float() takes "1", True
             except (TypeError, ValueError):
                 raise ValueError(f"step piece must be three numbers (lo, hi, value), got {piece!r}") from None
             if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(val)):

@@ -17,7 +17,7 @@ from .forward import SnapshotMatrix, compute_snapshot_matrix
 from .grid import Grid, _check_number
 from .potentials import Potential
 
-# Shortest decimal that round-trips a double exactly.
+# 17 significant digits: every double round-trips, though a shorter text may too.
 _FMT = "%.17g"
 
 
@@ -124,28 +124,26 @@ def save_dataset(dataset: DataSet, path: Union[str, Path]) -> None:
     All numbers use 17 significant digits, so a load/save round trip
     reproduces the file byte-for-byte.
     """
-    header = "# L=" + _FMT % dataset.L + f" m={dataset.m} label={dataset.label}"
+    header = f"# L={_Text((dataset.L,))[0]} m={dataset.m} label={dataset.label}"
     _write_rows(path, header, (dataset.lambdas, dataset.F, dataset.dF))
 
 
 class _Text(tuple):
-    """The _FMT text of an array's values, one string per row: a column _write_rows writes as is."""
+    """The _FMT text of a 1D array's values, one per value: the one route from a number to an output file."""
 
     def __new__(cls, values: np.ndarray):
-        return super().__new__(cls, (_FMT % v for v in np.asarray(values, dtype=float).tolist()))
+        values = np.asarray(values, dtype=float).tolist()  # one % for all of them; no _FMT text holds a space
+        return super().__new__(cls, (" ".join([_FMT] * len(values)) % tuple(values)).split())
 
 
 def _write_rows(path: Union[str, Path], header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write the header line, then row i of the equal-length columns per line,
-    from one template: %s for a _Text column and _FMT for an array of numbers."""
-    text = [isinstance(c, _Text) for c in columns]
-    cols = [c if t else np.asarray(c, dtype=float) for c, t in zip(columns, text)]
-    shapes = [(len(c),) if t else c.shape for c, t in zip(cols, text)]
-    if not cols or any(len(s) != 1 or s != shapes[0] for s in shapes):
+    """Write the header line, then one line per row: each column as its _Text (a _Text column
+    as it is), the cells of a row joined by single spaces."""
+    shapes = [(len(c),) if isinstance(c, _Text) else np.shape(c) for c in columns]
+    if not shapes or any(len(s) != 1 or s != shapes[0] for s in shapes):
         raise ValueError(f"columns must be 1D and of equal length, got shapes {shapes}")
-    row = " ".join("%s" if t else _FMT for t in text)
-    rows = zip(*(c if t else c.tolist() for c, t in zip(cols, text)))
-    Path(path).write_text("\n".join([header] + [row % r for r in rows]) + "\n", encoding="utf-8")
+    cells = (c if isinstance(c, _Text) else _Text(c) for c in columns)
+    Path(path).write_text("\n".join([header, *map(" ".join, zip(*cells))]) + "\n", encoding="utf-8")
 
 
 def _reconstruction_table(x, p_true, estimates: Mapping[str, np.ndarray], methods: Sequence[str]):

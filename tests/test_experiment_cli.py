@@ -18,6 +18,7 @@ from lslimaging import (
     load_dataset,
     operator_eigenvalues,
     read_summary,
+    reconstruct,
     run_experiment,
 )
 from lslimaging.cli import main
@@ -242,6 +243,10 @@ class TestWriteTable:
             write_table(path, names, columns)
         assert not path.exists()
 
+    def test_empty_columns_write_the_header_alone(self, tmp_path):
+        write_table(tmp_path / "table.txt", ("a", "b"), (np.zeros(0), _Text(np.zeros(0))))
+        assert (tmp_path / "table.txt").read_text() == "a b\n"
+
     def test_text_column_writes_the_bytes_of_its_array(self, tmp_path):
         cols = (np.array([0.0, -0.0, 1e-310, np.nan]), np.array([np.pi, -np.inf, 7.0, 1.0 / 3.0]))
         write_table(tmp_path / "array.txt", ("a", "b"), cols)
@@ -278,6 +283,20 @@ class TestRunExperiment:
         assert float(summary["err_internal_lsl"]) < float(summary["err_internal_background"])
         assert summary["singular_values_lsl"].count(" ") == int(summary["m"]) - 1
 
+    def test_summary_writes_every_number_as_17_significant_digits(self, tmp_path):
+        config = preset_config("gaussian", outdir=tmp_path, L=2.5, rel_threshold=1e-3, **FAST)
+        paths = run_experiment(config)
+        summary = read_summary(paths["summary"])
+        data, data0 = load_dataset(paths["dataset_true"]), load_dataset(paths["dataset_background"])
+        numbers = {"L": 2.5, "rel_threshold": 1e-3, "truncation_tol": config.truncation_tol,
+                   "internal_lambda": default_internal_lambda(data.lambdas)}
+        for key, value in numbers.items():
+            assert summary[key] == "%.17g" % value, key
+        for method in ("lsl", "born"):
+            result = reconstruct(data, data0, method, grid=Grid(2.5, FAST["n"]), rel_threshold=1e-3,
+                                 truncation_tol=config.truncation_tol)
+            assert summary[f"singular_values_{method}"] == " ".join("%.17g" % v for v in result.singular_values)
+
     def test_single_method_fills_sentinels(self, tmp_path):
         config = preset_config("gaussian", outdir=tmp_path, methods=("born",), **FAST)
         paths = run_experiment(config)
@@ -286,6 +305,7 @@ class TestRunExperiment:
         assert not np.any(np.isnan(rows[:, 2]))
         summary = read_summary(paths["summary"])
         assert summary["err_lsl"] == "nan"
+        assert summary["singular_values_lsl"] == ""
 
     def test_reproducible_byte_identical(self, tmp_path):
         config_a = preset_config("gaussian", outdir=tmp_path / "a", **FAST)

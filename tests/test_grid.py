@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from lslimaging import (DataSet, ExperimentConfig, GaussianPotential, Grid, LoewnerPencil, ZeroPotential,
-                        approximate_resonances, lanczos, reconstruct, weyl_sample)
+from lslimaging import (DataSet, ExperimentConfig, GaussianPotential, Grid, LoewnerPencil, StepPotential,
+                        ZeroPotential, approximate_resonances, lanczos, reconstruct, weyl_sample)
 
 # one sample of a dataset, enough for the checks that run before any solve
 SAMPLE = DataSet(L=1.0, samples=[(-6.0, 0.2, -0.1)])
@@ -71,8 +71,19 @@ def test_a_domain_length_that_is_not_a_number_is_rejected(call):
      "truncation_tol must be a number, got '1e-8'"),
     (lambda: reconstruct(SAMPLE, SAMPLE, "lsl", rel_threshold="1e-8"), "rel_threshold must be a number, got '1e-8'"),
     (lambda: GaussianPotential(5.0, 0.5, "0.1"), "width must be a number, got '0.1'"),
+    # a bool is an int to Python, but not a count, length or parameter
+    (lambda: weyl_sample(True, True, 1.0), "interval count N must be a number, got True"),
+    (lambda: ExperimentConfig(ZeroPotential(), N=True, n=401), "interval count N must be a number, got True"),
+    (lambda: Grid(True, 5), "domain length must be a number, got True"),
+    (lambda: GaussianPotential(True, 0.5, 0.1), "amplitude must be a number, got True"),
+    (lambda: StepPotential(((0.4, "0.6", True),)),
+     "step piece must be three numbers (lo, hi, value), got (0.4, '0.6', True)"),
+    (lambda: StepPotential(((0.4, 0.6, True),)),
+     "step piece must be three numbers (lo, hi, value), got (0.4, 0.6, True)"),
 ], ids=["config-n", "config-N", "config-f", "config-rel_threshold", "config-truncation_tol", "config-methods",
-        "Grid", "weyl_sample", "approximate_resonances", "lanczos", "reconstruct", "GaussianPotential"])
+        "Grid", "weyl_sample", "approximate_resonances", "lanczos", "reconstruct", "GaussianPotential",
+        "bool-weyl_sample", "bool-config-N", "bool-Grid", "bool-GaussianPotential", "text-and-bool-StepPotential",
+        "bool-StepPotential"])
 def test_a_count_fraction_or_parameter_of_the_wrong_type_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):  # not a bare TypeError from the check
         call()

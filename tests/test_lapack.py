@@ -116,6 +116,14 @@ def test_blocked_qr_applies_numpys_q(shape):
     np.testing.assert_allclose(np.abs(np.triu(V[:k])), np.abs(R[:k]), rtol=0, atol=1e-13 * np.abs(R).max())
 
 
+def test_a_1x1_matrix_is_solved():
+    # its off-diagonal is empty; LAPACK still needs a valid pointer for it
+    d, e = np.array([2.0]), np.array([])
+    assert _lapack.dstevd(d, e).tolist() == [2.0]
+    assert _lapack.dstebz(d, e, 1.5, 2.5) == 1
+    assert _lapack.dstebz(d, e, 2.5, 3.0) == 0
+
+
 def test_arrays_lapack_would_misread_are_refused():
     d, e = np.full(5, 4.0), np.ones(4)
     with pytest.raises(ValueError):

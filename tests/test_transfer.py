@@ -344,6 +344,8 @@ class TestFileFormat:
         assert lines[0].startswith("# L=1 m=2 label=")
         assert len(lines) == 3
         assert len(lines[1].split()) == 3
+        save_dataset(DataSet(L=1 / 3, samples=[(-6.0, 0.2, -0.1)]), path)
+        assert path.read_text().startswith("# L=0.33333333333333331 m=1 label=\n")  # '%.17g', as every number
 
     def test_malformed_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
