@@ -6,10 +6,17 @@ numpy's eigh solves the dense symmetric eigenproblems, M in rom.lanczos and T in
 numpy's wheels link one OpenBLAS, LAPACK included, into numpy.linalg._umath_linalg,
 and every matmul and numpy.linalg call runs on it; binding the routines there keeps
 one BLAS and one thread pool in the process, and scipy is never imported. The names
-are ILP64, scipy_<name>_64_ (numpy >= 2) or <name>_64_ (numpy 1.2x): every integer
-is an int64 passed by reference, and each CHARACTER argument adds a hidden size_t
-length at the end. A library without them raises ImportError naming the symbol and
-the file, with no other route; a nonzero INFO raises numpy.linalg.LinAlgError.
+are ILP64, scipy_<name>_64_ (numpy >= 2) or <name>_64_ (numpy 1.2x); a library without
+them raises ImportError naming the symbol and the file, with no other route.
+
+_ROUTINES states each routine's arguments before INFO once, a letter per kind, all by
+reference: C a CHARACTER, I an INTEGER (int64), D a DOUBLE PRECISION, R a float64 array
+LAPACK only reads, W a float64 array it writes, Z an int64 array it writes. _bind derives
+the argtypes from them; _call marshals every call by them, appends INFO and a hidden size_t
+length per CHARACTER, and raises numpy.linalg.LinAlgError on a nonzero INFO. An array must
+be column-major and of its kind's dtype (ValueError) and writable wherever LAPACK writes it
+(TypeError): only an R array, as the kept Born factors, may be read-only; an empty array
+passes numpy's own pointer.
 one_blas_thread holds the library to one thread: on the pipeline's 2001 x m steps, m <= 160,
 a second one saves no wall time, spins a core after each call, and changes the roundoff.
 """
@@ -17,13 +24,35 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import threading
 
 import numpy as np
 import numpy.linalg._umath_linalg
 
-# name: (arguments, INFO included, all by pointer; how many are CHARACTER)
-_ROUTINES = {"dgtsv": (8, 0), "dstebz": (18, 2), "dstevd": (11, 1), "dgeqrt": (9, 0), "dgemqrt": (14, 2)}
+# each routine's arguments before INFO, a letter per kind (see the module docstring)
+_ROUTINES = {"dgtsv": "IIWWWWI", "dstebz": "CCIDDIIDRRZZWZZWZ", "dstevd": "CIWWWIWIZI",
+             "dgeqrt": "IIIWIWIW", "dgemqrt": "CCIIIIRIRIWIW"}
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+_ADDRESS, _INT, _from_buffer = ctypes.POINTER(ctypes.c_byte), ctypes.POINTER(ctypes.c_int64), ctypes.c_byte.from_buffer
+
+
+def _array(dtype: np.dtype, written: bool):
+    """The array rule of a kind: column-major `dtype`, and writable if LAPACK writes it."""
+    def address(a: np.ndarray):
+        if a.dtype != dtype or not a.flags.f_contiguous:
+            raise ValueError(f"LAPACK needs a column-major {dtype} array, got {a.dtype} with strides {a.strides}")
+        if a.size and (written or a.flags.writeable):
+            return _from_buffer(a.T)  # keeps a alive, at a third of a.ctypes' cost; TypeError unless writable
+        # numpy allocates an empty array a byte: a valid pointer LAPACK never reads
+        return a.ctypes.data_as(_ADDRESS)
+    return address
+
+
+# kind: (argtype, what makes an argument of it); LAPACK only reads an INTEGER, so one c_int64 serves a value
+_KINDS = {"C": (ctypes.c_char_p, bytes), "I": (_INT, functools.lru_cache(256)(ctypes.c_int64)),
+          "D": (ctypes.POINTER(ctypes.c_double), ctypes.c_double), "R": (_ADDRESS, _array(_F64, False)),
+          "W": (_ADDRESS, _array(_F64, True)), "Z": (_ADDRESS, _array(_I64, True))}
 
 
 def _symbol(lib: ctypes.CDLL, path: str, *symbols: str):
@@ -39,16 +68,15 @@ def _bind(path: str, *names: str):
     lib = ctypes.CDLL(path)
     routines = []
     for name in names:
-        fn = _symbol(lib, path, f"scipy_{name}_64_", f"{name}_64_")
-        args, chars = _ROUTINES[name]
-        fn.argtypes, fn.restype = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars, None
+        fn, kinds = _symbol(lib, path, f"scipy_{name}_64_", f"{name}_64_"), _ROUTINES[name]
+        argtypes, fn.makers = zip(*(_KINDS[kind] for kind in kinds))
+        fn.argtypes = [*argtypes, _INT] + [ctypes.c_size_t] * kinds.count("C")  # INFO, then the hidden lengths
+        fn.restype, fn.label, fn.lengths = None, name[1:], (1,) * kinds.count("C")
         routines.append(fn)
     return routines
 
 
 _GTSV, _STEBZ, _STEVD, _GEQRT, _GEMQRT = _bind(numpy.linalg._umath_linalg.__file__, *_ROUTINES)
-_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
-_ONE = ctypes.byref(ctypes.c_int64(1))  # LAPACK only reads it
 
 
 class _OneThread(contextlib.ContextDecorator):
@@ -81,40 +109,22 @@ class _OneThread(contextlib.ContextDecorator):
 one_blas_thread = _OneThread(numpy.linalg._umath_linalg.__file__)
 
 
-def _int(value: int):
-    return ctypes.byref(ctypes.c_int64(value))
-
-
-def _buffer(a: np.ndarray):
-    # a pointer that keeps a alive, at a third of a.ctypes' cost; from_buffer raises TypeError
-    # unless a.T is writable and C-contiguous, that is, unless a is writable and column-major
-    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
-
-
-def _ptr(a: np.ndarray, dtype=_F64):
-    """A pointer to a's data, which must hold `dtype` in column-major order; it keeps a alive."""
-    if a.dtype != dtype or not a.flags.f_contiguous:
-        raise ValueError(f"LAPACK needs a column-major {dtype} array, got {a.dtype} with strides {a.strides}")
-    # from_buffer refuses an empty array, but numpy allocates it a byte: a valid pointer LAPACK never reads
-    return _buffer(a) if a.flags.writeable and a.size else a.ctypes.data_as(ctypes.c_void_p)
-
-
-def _check(name: str, info: ctypes.c_int64) -> None:
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"{name} failed (LAPACK info={info.value})")
+def _call(routine, *args) -> None:
+    """Call a bound routine on its arguments before INFO; LinAlgError on a nonzero INFO."""
+    info = ctypes.c_int64()
+    routine(*[make(arg) for make, arg in zip(routine.makers, args)], info, *routine.lengths)
+    if info.value:
+        raise np.linalg.LinAlgError(f"{routine.label} failed (LAPACK info={info.value})")
 
 
 def dgtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and superdiagonals dl, d, du for the
-    n values b. All four are overwritten, b with the solution, which is returned; the
-    checks are inlined for the forward sweep, and _buffer requires writable arrays."""
+    n values b. All four are overwritten, b with the solution, which is returned, so all
+    four must be writable; the shape checks are inlined for the forward sweep."""
     n = d.size
-    if not (d.shape == b.shape == (n,) and dl.shape == du.shape == (n - 1,)
-            and dl.dtype == d.dtype == du.dtype == b.dtype == _F64):
+    if not (d.shape == b.shape == (n,) and dl.shape == du.shape == (n - 1,)):
         raise ValueError(f"gtsv needs n-1, n, n-1 and n float64 values, got {dl.shape} {d.shape} {du.shape}")
-    size, info = _int(n), ctypes.c_int64()
-    _GTSV(size, _ONE, _buffer(dl), _buffer(d), _buffer(du), _buffer(b), size, ctypes.byref(info))
-    _check("gtsv", info)
+    _call(_GTSV, n, 1, dl, d, du, b, n)
     return b
 
 
@@ -124,14 +134,10 @@ def dstebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> int:
     n = d.size
     if e.shape != (n - 1,):
         raise ValueError(f"stebz needs n-1 off-diagonal values, got {e.shape} for n = {n}")
-    count, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
-    ints = np.empty((n, 5), dtype=_I64, order="F")  # IBLOCK, ISPLIT and the 3n of IWORK
-    vl, vu, tol = (ctypes.byref(ctypes.c_double(x)) for x in (vl, vu, 0.0))
-    _STEBZ(b"V", b"E", _int(n), vl, vu, _ONE, _ONE, tol, _ptr(d), _ptr(e), ctypes.byref(count),
-           ctypes.byref(nsplit), _ptr(np.empty(n)), _ptr(ints[:, 0], _I64), _ptr(ints[:, 1], _I64),
-           _ptr(np.empty(4 * n)), _ptr(ints[:, 2:], _I64), ctypes.byref(info), 1, 1)
-    _check("stebz", info)
-    return count.value
+    counts, ints = np.empty(2, dtype=_I64), np.empty((n, 5), dtype=_I64, order="F")  # M, NSPLIT; IBLOCK, ISPLIT, IWORK
+    _call(_STEBZ, b"V", b"E", n, vl, vu, 1, 1, 0.0, d, e, counts[:1], counts[1:], np.empty(n),
+          ints[:, 0], ints[:, 1], np.empty(4 * n), ints[:, 2:])
+    return int(counts[0])
 
 
 def dstevd(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -140,10 +146,8 @@ def dstevd(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     n = d.size
     if e.shape != (n - 1,):
         raise ValueError(f"stevd needs n-1 off-diagonal values, got {e.shape} for n = {n}")
-    w, e, info = np.array(d, dtype=float), np.array(e, dtype=float), ctypes.c_int64()  # stevd destroys e
-    _STEVD(b"N", _int(n), _ptr(w), _ptr(e), _ptr(np.empty(1)), _ONE, _ptr(np.empty(1)), _ONE,
-           _ptr(np.empty(1, dtype=_I64), _I64), _ONE, ctypes.byref(info), 1)
-    _check("stevd", info)
+    w, e = np.array(d, dtype=float), np.array(e, dtype=float)  # stevd destroys e
+    _call(_STEVD, b"N", n, w, e, np.empty(1), 1, np.empty(1), 1, np.empty(1, dtype=_I64), 1)
     return w
 
 
@@ -153,10 +157,8 @@ def dgeqrt(a: np.ndarray, nb: int) -> np.ndarray:
     block reflector I - V_j T_j V_j^T per block j of nb columns, and the returned
     nb x min(M, N) array holds the upper triangular T_j side by side."""
     m, n = a.shape
-    T, info = np.empty((nb, min(m, n)), order="F"), ctypes.c_int64()
-    _GEQRT(_int(m), _int(n), _int(nb), _ptr(a), _int(m), _ptr(T), _int(nb), _ptr(np.empty(nb * n)),
-           ctypes.byref(info))
-    _check("geqrt", info)
+    T = np.empty((nb, min(m, n)), order="F")
+    _call(_GEQRT, m, n, nb, a, m, T, nb, np.empty(nb * n))
     return T
 
 
@@ -165,8 +167,5 @@ def dgemqrt(V: np.ndarray, T: np.ndarray, c: np.ndarray) -> np.ndarray:
     (m, cols), (nb, k) = V.shape, T.shape
     if c.shape != (m,) or cols < k:
         raise ValueError(f"gemqrt: reflectors {V.shape} and T {T.shape} do not fit a vector {c.shape}")
-    info = ctypes.c_int64()
-    _GEMQRT(b"L", b"N", _int(m), _ONE, _int(k), _int(nb), _ptr(V), _int(m), _ptr(T), _int(nb), _ptr(c), _int(m),
-            _ptr(np.empty(nb)), ctypes.byref(info), 1, 1)
-    _check("gemqrt", info)
+    _call(_GEMQRT, b"L", b"N", m, 1, k, nb, V, m, T, nb, c, m, np.empty(nb))
     return c

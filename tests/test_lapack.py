@@ -122,6 +122,19 @@ def test_a_1x1_matrix_is_solved():
     assert _lapack.dstevd(d, e).tolist() == [2.0]
     assert _lapack.dstebz(d, e, 1.5, 2.5) == 1
     assert _lapack.dstebz(d, e, 2.5, 3.0) == 0
+    assert _lapack.dgtsv(np.empty(0), np.array([2.0]), np.empty(0), np.array([1.0])).tolist() == [0.5]
+
+
+# each routine's arguments before INFO in LAPACK's reference interface, and its CHARACTER arguments
+LAPACK_ARGUMENTS = {"dgtsv": (7, 0), "dstebz": (17, 2), "dstevd": (10, 1), "dgeqrt": (8, 0), "dgemqrt": (13, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(LAPACK_ARGUMENTS))
+def test_each_binding_takes_lapacks_arguments_info_and_hidden_lengths(name):
+    # a wrong count would misread memory instead of failing
+    arguments, characters = LAPACK_ARGUMENTS[name]
+    routine = getattr(_lapack, "_" + name[1:].upper())
+    assert len(routine.argtypes) == arguments + 1 + characters
 
 
 def test_arrays_lapack_would_misread_are_refused():
@@ -142,3 +155,17 @@ def test_arrays_lapack_would_misread_are_refused():
     d.flags.writeable = False
     with pytest.raises(TypeError):
         _lapack.dgtsv(e.copy(), d, e.copy(), np.ones(5))
+    # LAPACK writes dgeqrt's a and dgemqrt's c, and only reads dgemqrt's V and T
+    V = np.asfortranarray(np.random.default_rng(7).standard_normal((5, 3)))
+    T, c = _lapack.dgeqrt(V, 3), np.arange(5.0)
+    Qc = _lapack.dgemqrt(V, T, c.copy())
+    for a in (V, T, c):
+        a.flags.writeable = False
+    before = [a.tobytes() for a in (V, T, c)]
+    with pytest.raises(TypeError):
+        _lapack.dgeqrt(V, 3)
+    with pytest.raises(TypeError):
+        _lapack.dgemqrt(V.copy(order="F"), T.copy(order="F"), c)
+    # imaging._solve applies the kept Born factors, which are read-only, this way
+    assert _lapack.dgemqrt(V, T, c.copy()).tobytes() == Qc.tobytes()
+    assert [a.tobytes() for a in (V, T, c)] == before
