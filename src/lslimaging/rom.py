@@ -113,7 +113,6 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     subspace.
     """
     _check_fraction("truncation_tol", truncation_tol)
-    m = pencil.m
     eigvals, U = np.linalg.eigh(pencil.M)
     lam_max = eigvals[-1]
     if lam_max <= 0.0:

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .forward import SnapshotMatrix, compute_snapshot_matrix
-from .grid import Grid, _check_number
+from .grid import Grid, _check_length, _check_number
 from .potentials import Potential
 
 # 17 significant digits: every double round-trips, though a shorter text may too.
@@ -76,9 +76,9 @@ class DataSet:
     label: str = ""
 
     def __init__(self, L: float, samples: Union[Sequence[SpectralSample], np.ndarray], label: str = ""):
-        _check_number("domain length", L)
-        if not (np.isfinite(L) and L > 0):
+        if not _check_number("domain length", L) > 0:
             raise ValueError(f"domain length must be positive, got {L}")
+        _check_length(L)  # words an infinite L as the grid does
         _check_label(label)
         rows = _checked_rows(samples)
         rows.flags.writeable = False
@@ -94,13 +94,11 @@ def measure_dataset(V: SnapshotMatrix, label: str) -> DataSet:
     """The boundary data (F, dF) of one medium, read off its snapshot columns.
 
     F is the first row of V (the boundary-node values) and dF = -sum(weights
-    * u * u) per column u (the resolvent identity). Each column is summed as
-    one contiguous row of V^T, in numpy's pairwise order for that column
-    alone, whatever V's order. V^T is copied only when V is not in Fortran order.
+    * u * u) for each column u (the resolvent identity), each column summed
+    alone in numpy's pairwise order, whatever V's memory layout.
     """
-    Vt = np.ascontiguousarray(V.V.T)
-    dF = -(V.grid.weights * Vt * Vt).sum(axis=1)
-    return DataSet(L=V.grid.L, samples=np.column_stack((V.lambdas, Vt[:, 0], dF)), label=label)
+    dF = [-(V.grid.weights * u * u).sum() for u in V.V.T]
+    return DataSet(L=V.grid.L, samples=np.column_stack((V.lambdas, V.V[0], dF)), label=label)
 
 
 def generate_dataset(
@@ -112,8 +110,8 @@ def generate_dataset(
     """Measure (F, dF) at each sample point by forward solves on the grid.
 
     The sample points are sorted ascending; duplicates or an empty list are
-    rejected (see compute_snapshot_matrix). The sweep's Fortran-ordered V is
-    measured as it is, with no transposed copy.
+    rejected (see compute_snapshot_matrix). The sweep's V is measured by
+    measure_dataset, column by column.
     """
     return measure_dataset(compute_snapshot_matrix(p, lambdas, grid), p.label if label is None else label)
 

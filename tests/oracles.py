@@ -6,7 +6,8 @@ extended precision instead of LAPACK, the background fields come from
 closed forms, and eigenvalue references come from dense solvers. The
 Gram pencil is the one exception: it reads the snapshots the inverse
 problem cannot see, through the package's operator. continuum_dataset
-gives the exact data of a piecewise-constant medium, with no grid.
+gives the exact data of a piecewise-constant medium, with no grid, and
+add_noise a dataset under seeded multiplicative noise.
 
 The last section holds the package's former public helpers, which nothing
 in the package called, kept unchanged because tests compare against them:
@@ -196,6 +197,14 @@ def continuum_dataset(pieces, lambdas, L: float) -> DataSet:
     F = _continuum_transfer(pieces, lams.astype(complex), L).real
     dF = _continuum_transfer(pieces, lams + 1j * h, L).imag / h
     return DataSet(L, np.column_stack((lams, F, dF)), label="continuum")
+
+
+def add_noise(dataset: DataSet, level: float, seed: int) -> DataSet:
+    """The dataset with F and dF each multiplied by 1 + level * z, z standard normal
+    from numpy.random.default_rng(seed): first one draw per F, then one per dF."""
+    z = np.random.default_rng(seed).standard_normal((2, dataset.m))
+    F, dF = np.array((dataset.F, dataset.dF)) * (1.0 + level * z)
+    return DataSet(dataset.L, np.column_stack((dataset.lambdas, F, dF)), dataset.label)
 
 
 # The package's former public helpers.

@@ -19,6 +19,7 @@ from lslimaging import (
     Grid,
     ResonanceProximityError,
     Snapshot,
+    SnapshotMatrix,
     SpectralSample,
     ZeroPotential,
     assemble_operator,
@@ -188,6 +189,65 @@ class TestGenerateDataset:
         assert excinfo.value.lam == on_resonance
 
 
+@st.composite
+def snapshot_matrices(draw):
+    """A SnapshotMatrix of random finite columns: n from 3 past numpy's 8,192-element
+    buffer to 20,001, m from 1 to 32, increasing distinct sample points."""
+    n, m = draw(st.integers(3, 20001)), draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-100.0, 100.0, m)  # nonzero columns whose weighted squares stay finite
+    V = rng.standard_normal((n, m)) * scale
+    lams = np.cumsum(rng.uniform(0.01, 10.0, m)) - 100.0
+    return SnapshotMatrix(V=np.asfortranarray(V), grid=Grid(L=draw(st.floats(0.1, 10.0)), n=n), lambdas=lams)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(snapshot_matrices())
+@example(V=SnapshotMatrix(V=np.asfortranarray(np.arange(1.0, 2 * 8193 + 1).reshape(8193, 2)),
+                          grid=Grid(L=1.0, n=8193), lambdas=np.array([-2.0, -1.0])))
+def test_measurement_is_the_per_column_oracle(V):
+    # bitwise, for a Fortran-ordered and a C-ordered copy of the same V
+    for layout in (V, replace(V, V=np.ascontiguousarray(V.V))):
+        data = measure_dataset(layout, "drawn")
+        snaps = [Snapshot(lam=lam, values=layout.V[:, j]) for j, lam in enumerate(V.lambdas)]
+        assert np.array_equal(data.lambdas, V.lambdas)
+        assert np.array_equal(data.F, [measure_transfer(s, V.grid) for s in snaps])
+        assert np.array_equal(data.dF, [transfer_derivative(s, V.grid) for s in snaps])
+
+
+class TestAddNoise:
+    """oracles.add_noise: seeded multiplicative noise on F and dF, for the robustness harness."""
+
+    LAMS = weyl_sample(10, 4, 1.0).lambdas
+
+    @pytest.fixture(scope="class")
+    def datasets(self, grid, gaussian_preset, step_preset):
+        media = {"gaussian": gaussian_preset, "step": step_preset}
+        return {name: generate_dataset(p, self.LAMS, grid) for name, p in media.items()}
+
+    @staticmethod
+    def _columns(data):
+        return np.column_stack((data.lambdas, data.F, data.dF))
+
+    def test_same_seed_same_bits_other_seed_differs(self, datasets):
+        data = datasets["gaussian"]
+        first, again, other = (oracles.add_noise(data, 1e-6, seed) for seed in (1, 1, 2))
+        assert np.array_equal(self._columns(first), self._columns(again))
+        assert (first.L, first.label) == (data.L, data.label)
+        assert not np.array_equal(first.F, other.F) and not np.array_equal(first.dF, other.dF)
+        assert np.array_equal(first.lambdas, data.lambdas)
+
+    def test_level_zero_returns_the_input_bytes(self, datasets):
+        for data in datasets.values():
+            assert self._columns(oracles.add_noise(data, 0.0, 3)).tobytes() == self._columns(data).tobytes()
+
+    @pytest.mark.parametrize("level", [1e-8, 1e-6, 1e-4])
+    def test_derivative_stays_negative(self, datasets, level):
+        for data in datasets.values():
+            for seed in range(1, 6):
+                assert np.all(oracles.add_noise(data, level, seed).dF < 0.0)
+
+
 class TestValidation:
     def test_sample_requires_negative_derivative(self):
         with pytest.raises(ValueError):
@@ -205,6 +265,10 @@ class TestValidation:
             DataSet(L=1.0, samples=(s1, s1))
         with pytest.raises(ValueError):
             DataSet(L=1.0, samples=())
+
+    def test_infinite_domain_length_named_as_the_grid_names_it(self):
+        with pytest.raises(ValueError, match=r"^domain length must be positive and finite, got inf$"):
+            DataSet(L=np.inf, samples=[(-1.0, 0.5, -0.1)])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -431,7 +495,8 @@ class TestFileFormat:
         ("L=1 m=3", "-6.0 0.2 -0.1\n-5.0 0.3 -0.1\n-5.0 0.4 -0.2",
          "line 4: sample points must be strictly increasing and distinct"),
         ("L=nan m=1", "-6.0 0.2 -0.1", "domain length must be positive, got nan"),
-    ], ids=["non-numeric", "dF-zero", "dF-positive-first-row", "lambda-repeated", "L-nan"])
+        ("L=inf m=1", "-6.0 0.2 -0.1", "domain length must be positive and finite, got inf"),
+    ], ids=["non-numeric", "dF-zero", "dF-positive-first-row", "lambda-repeated", "L-nan", "L-inf"])
     def test_malformed_value_names_file_and_line(self, tmp_path, header, rows, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(f"# {header} label=x\n{rows}\n")
