@@ -103,16 +103,18 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     decomposition: eigenvalues below truncation_tol * lambda_max(M) are
     discarded and the recursion runs in the surviving subspace, so the
     effective rank bounds k. The recursion stops early when the next
-    off-diagonal falls below truncation_tol * ||T||. All off-diagonals are
-    positive and q_1 is a positive multiple of M^{-1} b; this canonical
-    sign choice makes factorizations of different media directly
-    comparable column by column.
+    off-diagonal is at most truncation_tol times the largest |entry| of T
+    so far (not ||T||). All off-diagonals are positive and q_1 is a
+    positive multiple of M^{-1} b; this canonical sign choice makes
+    factorizations of different media directly comparable column by column.
 
-    Raises DegenerateMassError when M is indefinite beyond roundoff level
-    and DegenerateSourceError when b has no component in the retained
-    subspace.
+    Raises ValueError when S, M or b holds a non-finite entry,
+    DegenerateMassError when M is indefinite beyond roundoff level and
+    DegenerateSourceError when b has no component in the retained subspace.
     """
     _check_fraction("truncation_tol", truncation_tol)
+    if not all(np.all(np.isfinite(a)) for a in (pencil.S, pencil.M, pencil.b)):  # eigh would return NaNs
+        raise ValueError("the pencil's S, M and b must be finite")
     eigvals, U = np.linalg.eigh(pencil.M)
     lam_max = eigvals[-1]
     if lam_max <= 0.0:
@@ -123,9 +125,7 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
             f"vs max {lam_max:.3e}"
         )
     keep = eigvals >= truncation_tol * lam_max
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        raise DegenerateMassError("eigenvalue flooring removed every direction")
+    r = int(np.count_nonzero(keep))  # at least 1: lam_max itself is kept
     # coordinates y with q = Z y turn the M-inner product into the plain one
     Z = U[:, keep] / np.sqrt(eigvals[keep])
     S_r = Z.T @ pencil.S @ Z
@@ -139,14 +139,12 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     basis[:, 0] = b_r / normfactor
     alphas: list = []
     betas: list = []
-    # the scale of T so far: running maxima of |alpha| and beta, O(1) per step,
-    # each started at its first entry as max() over the list starts
-    alpha_max = beta_max = 0.0
+    scale = 0.0  # the largest |entry| of T so far
     for step in range(r):
         q = basis[:, step]
         v = S_r @ q
         alpha = float(q @ v)
-        alpha_max = max(alpha_max, abs(alpha)) if alphas else abs(alpha)
+        scale = max(scale, abs(alpha))
         alphas.append(alpha)
         v = v - alpha * q
         if betas:
@@ -155,15 +153,13 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
         for _ in range(2):
             v = v - Y @ (Y.T @ v)
         beta = float(np.sqrt(v @ v))
-        if step == r - 1 or beta <= truncation_tol * max(alpha_max, beta_max):
+        if step == r - 1 or beta <= truncation_tol * scale:
             break
-        beta_max = max(beta_max, beta) if betas else beta
+        scale = max(scale, beta)
         betas.append(beta)
         basis[:, step + 1] = v / beta
     k = len(alphas)
-    T = np.diag(alphas)
-    if betas:
-        T += np.diag(betas, 1) + np.diag(betas, -1)
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     Q = Z @ basis[:, :k]
     return LanczosFactors(T=T, Q=Q, normfactor=normfactor, k=k)
 

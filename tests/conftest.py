@@ -7,7 +7,7 @@ import pytest
 import lslimaging.experiment
 import lslimaging.imaging
 from lslimaging import GaussianPotential, Grid, StepPotential, ZeroPotential, generate_dataset, save_dataset, weyl_sample
-from oracles import constant_potential
+from oracles import constant_potential, gaussian_staircase
 
 # One line per acceptance criterion, printed after every run that touched
 # tests/test_acceptance.py.
@@ -82,6 +82,19 @@ def test_potentials(gaussian_preset, step_preset):
         "gaussian": gaussian_preset,
         "step": step_preset,
     }
+
+
+@pytest.fixture(scope="session")
+def staircase():
+    """The gaussian preset as 500 constant pieces, a medium with exact continuum data."""
+    return gaussian_staircase()
+
+
+@pytest.fixture(scope="session")
+def fine_data(gaussian_preset, step_preset):
+    """The presets' data on the default plan (N = 10, f = 4) simulated on n = 8001, for imaging on n = 2001."""
+    grid, lams = Grid(1.0, 8001), weyl_sample(10, 4, 1.0).lambdas
+    return {"gaussian": generate_dataset(gaussian_preset, lams, grid), "step": generate_dataset(step_preset, lams, grid)}
 
 
 @pytest.fixture(scope="session")

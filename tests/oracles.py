@@ -38,6 +38,7 @@ from lslimaging import (
     StepPotential,
     TridiagonalOperator,
     assemble_operator,
+    preset_potential,
     resolvent_apply,
 )
 from lslimaging.errors import _NearResonanceError
@@ -197,6 +198,15 @@ def continuum_dataset(pieces, lambdas, L: float) -> DataSet:
     F = _continuum_transfer(pieces, lams.astype(complex), L).real
     dF = _continuum_transfer(pieces, lams + 1j * h, L).imag / h
     return DataSet(L, np.column_stack((lams, F, dF)), label="continuum")
+
+
+def gaussian_staircase(pieces: int = 500, L: float = 1.0) -> StepPotential:
+    """The gaussian preset at the midpoint of each of `pieces` equal pieces of (0, L), as a
+    StepPotential: a smooth-looking medium with exact data from continuum_dataset, its own p_true.
+    The edges and midpoints are the even and odd nodes of Grid(L, 2 * pieces + 1)."""
+    fine = Grid(L, 2 * pieces + 1)
+    values = preset_potential("gaussian", L).evaluate(fine)[1::2]
+    return StepPotential(tuple(zip(fine.nodes[:-1:2], fine.nodes[2::2], values)))
 
 
 def add_noise(dataset: DataSet, level: float, seed: int) -> DataSet:

@@ -125,6 +125,12 @@ def test_a_1x1_matrix_is_solved():
     assert _lapack.dgtsv(np.empty(0), np.array([2.0]), np.empty(0), np.array([1.0])).tolist() == [0.5]
 
 
+def test_a_nonzero_info_raises_naming_routine_and_info():
+    # a zero first pivot: gtsv reports the singular system as INFO = 1
+    with pytest.raises(np.linalg.LinAlgError, match=r"^gtsv failed \(LAPACK info=1\)$"):
+        _lapack.dgtsv(np.zeros(1), np.zeros(2), np.zeros(1), np.ones(2))
+
+
 # each routine's arguments before INFO in LAPACK's reference interface, and its CHARACTER arguments
 LAPACK_ARGUMENTS = {"dgtsv": (7, 0), "dstebz": (17, 2), "dstevd": (10, 1), "dgeqrt": (8, 0), "dgemqrt": (13, 2)}
 

@@ -8,6 +8,7 @@ import scipy.linalg
 import oracles
 from conftest import weighted_rel_err
 from lslimaging import (
+    DataSet,
     DegenerateMassError,
     DegenerateSourceError,
     DimensionMismatchError,
@@ -239,6 +240,26 @@ class TestLanczos:
         factors = lanczos(pencil, truncation_tol=1e-3)
         assert factors.k == 3
         assert np.allclose(factors.T, S[:3, :3], rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_divided_differences_rejected(self):
+        # a valid DataSet whose Loewner differences overflow to inf and nan
+        data = DataSet(1.0, [(-30.0, 1e308, -1.0), (-20.0, -1e308, -1.0), (-10.0, 1.0, -1.0)])
+        with np.errstate(all="ignore"):
+            pencil = build_loewner(data)
+            with pytest.raises(ValueError, match="^the pencil's S, M and b must be finite$"):
+                lanczos(pencil)
+
+    @pytest.mark.parametrize("name, index, bad", [
+        ("M", (0, 0), np.nan),  # eigh would return NaNs, and k = 1 with no error
+        ("S", (1, 2), np.inf),
+        ("b", (2,), np.nan),
+    ])
+    def test_non_finite_pencil_rejected(self, name, index, bad):
+        arrays = {"S": np.eye(3), "M": np.eye(3), "b": np.ones(3)}
+        arrays[name][index] = bad
+        pencil = LoewnerPencil(**arrays, lambdas=-np.arange(1.0, 4.0))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^the pencil's S, M and b must be finite$"):
+            lanczos(pencil)
 
     def test_truncation_tol_validated(self, gaussian_data):
         pencil = build_loewner(gaussian_data)

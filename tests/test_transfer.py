@@ -107,21 +107,55 @@ class TestContinuumData:
                        for lam in self.LAMS])
         assert np.max(np.abs(data.dF - fd) / np.abs(fd)) < 1e-6  # the difference's own error: measured 1.1e-7
 
+    @staticmethod
+    def _gaps(p, reference, nodes):
+        """Each grid's max relative F and dF gap to the reference data, one row per n."""
+        rows = []
+        for n in nodes:
+            data = generate_dataset(p, reference.lambdas, Grid(1.0, n))
+            rows.append([np.max(np.abs(data.F - reference.F) / np.abs(reference.F)),
+                         np.max(np.abs(data.dF - reference.dF) / np.abs(reference.dF))])
+        return np.array(rows)
+
     def test_step_preset_grid_data_converges_at_first_order(self, step_preset):
         # StepPotential gives both jump nodes the piece's full value, an O(h) error in the
         # medium, so the grid data gains one digit per tenfold refinement
         exact = oracles.continuum_dataset(step_preset.pieces, self.LAMS, 1.0)
-        gaps = []
-        for n in (501, 1001, 2001, 4001):
-            data = generate_dataset(step_preset, self.LAMS, Grid(1.0, n))
-            gaps.append([np.max(np.abs(data.F - exact.F) / np.abs(exact.F)),
-                         np.max(np.abs(data.dF - exact.dF) / np.abs(exact.dF))])
-        gaps = np.array(gaps)
+        gaps = self._gaps(step_preset, exact, (501, 1001, 2001, 4001))
         # measured: F 0.0150, 6.06e-3, 3.03e-3, 1.51e-3; dF 0.0142, 6.22e-3, 3.10e-3, 1.55e-3
         assert np.all(gaps < 1.1 * np.array([[0.0150, 0.0142], [6.06e-3, 6.22e-3], [3.03e-3, 3.10e-3],
                                              [1.51e-3, 1.55e-3]]))
         order = np.log2(gaps[1] / gaps[3]) / 2  # two halvings of h from n = 1001
         assert np.all(order > 0.95), order
+
+    def test_gaussian_staircase_grid_data_converges_at_first_order(self, staircase):
+        # 500 small jumps, each node on one taking the later piece's value: F gains one
+        # binary digit per halving of h, dF (a norm of u) more
+        exact = oracles.continuum_dataset(staircase.pieces, self.LAMS, 1.0)
+        gaps = self._gaps(staircase, exact, (1001, 2001, 4001, 8001))
+        # measured: F 6.62e-3, 3.31e-3, 1.66e-3, 8.28e-4; dF 3.65e-3, 9.11e-4, 2.28e-4, 7.95e-5
+        assert np.all(gaps < 1.1 * np.array([[6.62e-3, 3.65e-3], [3.31e-3, 9.11e-4], [1.66e-3, 2.28e-4],
+                                             [8.28e-4, 7.95e-5]]))
+        order = np.log2(gaps[1] / gaps[3]) / 2  # two halvings of h from n = 2001
+        assert np.all(order > 0.95), order
+
+    def test_staircase_is_the_gaussian_preset_at_piece_midpoints(self, staircase):
+        assert len(staircase.pieces) == 500
+        lo, hi, values = np.array(staircase.pieces).T
+        assert lo[0] == 0.0 and hi[-1] == 1.0 and np.array_equal(lo[1:], hi[:-1])
+        mids = Grid(1.0, 1001).nodes[1::2]
+        np.testing.assert_allclose(0.5 * (lo + hi), mids, rtol=0, atol=1e-15)
+        assert np.array_equal(values, 5.0 * np.exp(-((mids - 0.5) ** 2) / (2.0 * 0.1**2)))
+
+    @pytest.mark.parametrize("name, measured", [("gaussian", (8.96e-4, 8.54e-4)), ("step", (2.27e-3, 2.33e-3))])
+    def test_fine_data_carry_the_imaging_grids_discretization_error(self, grid, fine_data, test_potentials,
+                                                                    name, measured):
+        # n = 8001 data imaged on n = 2001 are off the imaging grid's model by about
+        # its discretization error: second order for the gaussian, first for the step
+        fine = fine_data[name]
+        assert np.array_equal(fine.lambdas, self.LAMS)
+        gaps = self._gaps(test_potentials[name], fine, (grid.n,))[0]
+        assert gaps == pytest.approx(measured, rel=0.05)
 
 
 class TestGenerateDataset:
