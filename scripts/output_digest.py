@@ -17,10 +17,12 @@ on the caller's BLAS thread count show. (A CLI process always runs OpenBLAS
 on one thread, whatever OPENBLAS_NUM_THREADS says, so only an in-process run
 can set another count.) `inproc-gaussian-L2.5/` runs the gaussian preset at
 L = 2.5 with rel_threshold 1e-3 on a small grid, so a change to how the
-summary writes a non-default L, threshold or error shows. Prints one sorted
-`sha256  name` line per output file, per stdout, and per stderr plus exit
-code. Paths in the outputs are relative to the temporary directory, so two
-trees give comparable lines:
+summary writes a non-default L, threshold or error shows. Last,
+`robustness-table` hashes the 140 lines of robustness_table.py's table, so a
+change that moves an error on noisy, off-grid or continuum data shows too.
+Prints one sorted `sha256  name` line per output file, per stdout, per stderr
+plus exit code, and for the table. Paths in the outputs are relative to the
+temporary directory, so two trees give comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 
@@ -138,6 +140,7 @@ def main() -> int:
                 sys.stderr.write(f"{name} failed:\n{proc.stderr.decode()}")
                 return 1
             lines.append(f"{_sha(proc.stdout)}  {name}:stdout")
+        import robustness_table
         from lslimaging import preset_config, run_experiment
         from lslimaging._lapack import one_blas_thread
 
@@ -157,6 +160,9 @@ def main() -> int:
         for path in work.rglob("*"):
             if path.is_file() and path.suffix != ".cfg":
                 lines.append(f"{_sha(path.read_bytes())}  {path.relative_to(work)}")
+    # the bytes `python scripts/robustness_table.py` prints
+    table = "".join(f"{line}\n" for line in robustness_table.table())
+    lines.append(f"{_sha(table.encode())}  robustness-table")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     return 0
 

@@ -44,11 +44,18 @@ class TridiagonalOperator:
     """Symmetric tridiagonal discretization of -d^2/dx^2 + p(x).
 
     `diag` holds the n diagonal entries (boundary rows already scaled by
-    1/2), `off` the n-1 identical sub/super-diagonal entries.
+    1/2), `off` the n-1 identical sub/super-diagonal entries. Both are kept
+    as read-only copies, since `_pencil` is derived from them once.
     """
 
     diag: np.ndarray
     off: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "off"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:

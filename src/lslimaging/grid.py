@@ -1,6 +1,7 @@
 """Uniform 1D grid with trapezoid quadrature weights."""
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -35,22 +36,31 @@ def _check_length(L: float) -> float:
     return L
 
 
+@dataclass(frozen=True)
 class Grid:
     """Uniform discretization of the interval (0, L) with n nodes.
 
     Nodes are x_i = i*h for i = 0..n-1 with h = L/(n-1), so the endpoints
     0 and L are included. The quadrature weights are the trapezoid rule's:
-    h/2 at the two boundary nodes, h in the interior.
+    h/2 at the two boundary nodes, h in the interior. A grid is immutable,
+    its nodes and weights read-only; it equals and hashes as (L, n).
     """
 
-    def __init__(self, L: float, n: int):
-        self.L = _check_length(L)
-        self.n = _check_count("node count", n, 3)
-        self.h = self.L / (self.n - 1)
-        self.nodes = np.linspace(0.0, self.L, self.n)
-        weights = np.full(self.n, self.h)
-        weights[0] = weights[-1] = 0.5 * self.h
-        self.weights = weights
+    L: float
+    n: int
+    h: float = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        L, n = _check_length(self.L), _check_count("node count", self.n, 3)
+        h = L / (n - 1)
+        nodes = np.linspace(0.0, L, n)
+        weights = np.full(n, h)
+        weights[0] = weights[-1] = 0.5 * h
+        nodes.flags.writeable = weights.flags.writeable = False
+        for name, value in (("L", L), ("n", n), ("h", h), ("nodes", nodes), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Quadrature-weighted L2 inner product of two nodal functions."""
@@ -59,12 +69,3 @@ class Grid:
     def norm(self, f: np.ndarray) -> float:
         """Quadrature-weighted L2 norm."""
         return float(np.sqrt(np.sum(self.weights * f * f)))
-
-    def __repr__(self) -> str:
-        return f"Grid(L={self.L!r}, n={self.n!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and other.L == self.L and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash((self.L, self.n))

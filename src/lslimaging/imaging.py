@@ -52,10 +52,10 @@ class ReconstructionResult:
 
 
 def _check_alignment(data: DataSet, data0: DataSet, grid: Grid, V0: Optional[SnapshotMatrix]) -> None:
-    """Both datasets, the grid and V0 (unless None) share L, the grid and the sample points."""
+    """Both datasets and the grid share L, and both datasets and V0 (unless None) the sample points."""
     lams = data.lambdas
     if (data.L != data0.L or grid.L != data.L or not np.array_equal(lams, data0.lambdas)
-            or V0 is not None and (V0.grid != grid or not np.array_equal(lams, V0.lambdas))):
+            or V0 is not None and not np.array_equal(lams, V0.lambdas)):
         raise SampleAlignmentError(
             "true and background datasets and the background snapshots must share "
             "L, the grid and identical sample points"
@@ -143,7 +143,6 @@ def reconstruct(
     grid: Optional[Grid] = None,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-    background: Optional[SnapshotMatrix] = None,
 ) -> ReconstructionResult:
     """End-to-end reconstruction from the two datasets.
 
@@ -154,12 +153,10 @@ def reconstruct(
     are checked first, for either method.
 
     The background model (_Background) gives V0, the Lanczos factors of
-    data0 and the Born TSVD factorization. A given `background`, the
-    zero-potential snapshots on the grid at the sample points, goes into a
-    model that copies it and is not kept. Without it, the model is the one
-    kept for the sampling plan: keyed by the grid's L and n and the sample
-    points, never the medium, about 2 * n * m * 8 bytes. Results may share
-    the model's read-only arrays, and are bitwise those of a cold run.
+    data0 and the Born TSVD factorization. It is the one kept for the
+    sampling plan: keyed by the grid and the sample points, never the
+    medium, about 2 * n * m * 8 bytes. Results may share the model's
+    read-only arrays, and are bitwise those of a cold run.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -168,12 +165,11 @@ def reconstruct(
     if grid is None:
         grid = Grid(L=data.L, n=DEFAULT_GRID_NODES)
     # before the model: the kept one costs a sweep on a new plan, and it is aligned by its key
-    _check_alignment(data, data0, grid, background)
-    model = _background(grid, data0.lambdas) if background is None else _Background(background)
+    _check_alignment(data, data0, grid, None)
+    model = _background(grid, data0.lambdas)
     V0 = model.V0
     if method == "born":
-        system = assemble_system(data, data0, V0, V0.V, method=method)
-        return _solve(system, model.born(system.A), rel_threshold)
+        return _solve(assemble_system(data, data0, V0, V0.V, method=method), model.born, rel_threshold)
     factors = (model.factors(data0, truncation_tol), lanczos(build_loewner(data), truncation_tol))
     # the fields are freed once assembled, which lowers the solve's memory peak
     system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas), method=method)
@@ -207,26 +203,25 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _Background:
     """The zero-potential reference medium of one sampling plan on one grid.
 
-    V0 is a copy of the snapshots it is given, V in C order; on first use come
-    the data0 measured from them, the Lanczos factors of the last background
-    data asked for and born() (the Born system's TSVD factorization). None
-    depends on the medium imaged, and all are read-only. A kept model
+    V0 is its own sweep at the sample points, V in C order; on first use come
+    the data0 measured from it, the Lanczos factors of the last background
+    data asked for and born (the Born system's TSVD factorization). None
+    depends on the medium imaged, and all are read-only. The kept model
     (_background) holds 2 * n * m * 8 bytes; the rest is O(m^2).
     """
 
-    def __init__(self, V0: SnapshotMatrix):
-        V, lambdas = np.array(V0.V, order="C"), np.array(V0.lambdas)
-        _read_only(V, lambdas)
-        self.V0 = SnapshotMatrix(V=V, grid=V0.grid, lambdas=lambdas)
-        self._born: Optional[Tuple[np.ndarray, ...]] = None
+    def __init__(self, grid: Grid, lambdas: np.ndarray):
+        sweep = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
+        self.V0 = replace(sweep, V=np.ascontiguousarray(sweep.V))
+        _read_only(self.V0.V, self.V0.lambdas)
         self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
 
-    def born(self, A: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """_factor(A) of the Born system's A, which depends on V0 alone; the first one is kept."""
-        if self._born is None:
-            self._born = _factor(A)
-            _read_only(*self._born)
-        return self._born
+    @cached_property
+    def born(self) -> Tuple[np.ndarray, ...]:
+        """_factor of the Born system's A, which depends on V0 alone."""
+        born = _factor(assemble_system(self.data0, self.data0, self.V0, self.V0.V, method="born").A)
+        _read_only(*born)
+        return born
 
     @cached_property
     def data0(self) -> DataSet:
@@ -243,16 +238,16 @@ class _Background:
         return self._factors[1]
 
 
-#: The background model of the last sampling plan used, keyed by the grid's
-#: L and n and the bytes of the sample points; it holds one plan at most.
-_BACKGROUND: Dict[Tuple[float, int, bytes], _Background] = {}
+#: The background model of the last sampling plan used, keyed by the grid
+#: and the bytes of the sample points; it holds one plan at most.
+_BACKGROUND: Dict[Tuple[Grid, bytes], _Background] = {}
 
 
 def _background(grid: Grid, lambdas: np.ndarray) -> _Background:
     """The cached background model of the sorted sample points on grid; a new plan replaces it."""
-    key = (grid.L, grid.n, np.asarray(lambdas, dtype=float).tobytes())
+    key = (grid, np.asarray(lambdas, dtype=float).tobytes())
     model = _BACKGROUND.get(key)
     if model is None:
         _BACKGROUND.clear()
-        model = _BACKGROUND[key] = _Background(compute_snapshot_matrix(ZeroPotential(), lambdas, grid))
+        model = _BACKGROUND[key] = _Background(grid, lambdas)
     return model

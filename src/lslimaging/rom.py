@@ -109,14 +109,17 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     factorizations of different media directly comparable column by column.
 
     Raises ValueError when S, M or b holds a non-finite entry,
-    DegenerateMassError when M is indefinite beyond roundoff level and
-    DegenerateSourceError when b has no component in the retained subspace.
+    DegenerateMassError when M is indefinite beyond roundoff level or its
+    spectrum overflows, and DegenerateSourceError when b has no component in
+    the retained subspace.
     """
     _check_fraction("truncation_tol", truncation_tol)
     if not all(np.all(np.isfinite(a)) for a in (pencil.S, pencil.M, pencil.b)):  # eigh would return NaNs
         raise ValueError("the pencil's S, M and b must be finite")
     eigvals, U = np.linalg.eigh(pencil.M)
     lam_max = eigvals[-1]
+    if not np.isfinite(lam_max):  # a finite M whose spectrum overflows
+        raise DegenerateMassError(f"mass matrix's largest eigenvalue is {lam_max}, not finite")
     if lam_max <= 0.0:
         raise DegenerateMassError("mass matrix has no positive eigenvalues")
     if eigvals[0] < -_INDEFINITE_RTOL * lam_max:

@@ -243,6 +243,29 @@ class TestResolventApply:
         resolvent_apply(op, g, -3.0, np.ones(g.n))
         assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
 
+    def test_operator_keeps_read_only_copies(self):
+        # the guard's enclosure is derived from diag and off once, so they must not change after
+        g = Grid(L=1.0, n=201)
+        zero = assemble_operator(ZeroPotential(), g)
+        diag, off = np.array(zero.diag), np.array(zero.off)
+        op = TridiagonalOperator(diag=diag, off=off)
+        source = np.ones(g.n)
+        resolvent_apply(op, g, -3.0, source)
+        for a in (op.diag, op.off):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the caller's arrays stay writable: 50 D shifts the spectrum by 50, and op does not see it
+        dw = np.ones(g.n)
+        dw[0] = dw[-1] = 0.5
+        diag += 50.0 * dw
+        assert np.array_equal(op.diag, zero.diag) and np.array_equal(op.off, zero.off)
+        shifted = TridiagonalOperator(diag=diag, off=off)
+        lam = -float(operator_eigenvalues(shifted, g)[0])
+        assert lam == pytest.approx(-50.0)
+        with pytest.raises(ResonanceProximityError):
+            resolvent_apply(shifted, g, lam, source)
+        assert np.array_equal(resolvent_apply(op, g, lam, source), resolvent_apply(zero, g, lam, source))
+
 
 class TestSturmCountOnlyWhenUndecided:
     @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -98,3 +99,19 @@ def test_hash_follows_equality():
     assert hash(Grid(1, 5)) == hash(Grid(1.0, 5))
     assert {Grid(1, 5): 0}[Grid(1.0, 5)] == 0
     assert len({Grid(1.0, 5), Grid(1.0, 6), Grid(2.0, 5)}) == 3
+
+
+def test_repr_names_the_parameters():
+    assert repr(Grid(1, 5)) == "Grid(L=1.0, n=5)"
+
+
+def test_a_grid_is_immutable():
+    # it keys the kept background model and output columns, so a changed grid would hit a stale entry
+    g = Grid(1.0, 11)
+    for name, value in (("L", 2.0), ("n", 12), ("h", 0.5), ("nodes", np.zeros(11)), ("weights", np.zeros(11))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    for a in (g.nodes, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.0
+    assert (g.L, g.n, g.h) == (1.0, 11, 0.1) and g.nodes[1] == 0.1 and g.weights[1] == 0.1

@@ -32,3 +32,31 @@ def test_step_cases_print_one_line_each_and_the_same_twice():
     for m in matches:
         for raised in (m[4], m[6]):  # the class a method raised, if any, is the package's
             assert raised is None or issubclass(getattr(lslimaging, raised), ImagingError)
+
+
+# today's LSL error on each noise-free row that does not collapse; the default-setting n = 8001 and
+# continuum rows (0.309, 0.3746 and 0.2982) are left out, since they record the collapse
+LSL_ERRORS = {
+    ("two-gaussians", "exact", "default"): 0.004845,
+    ("two-gaussians", "exact", "tol1e-8"): 0.006921,
+    ("two-gaussians", "n=8001", "tol1e-8"): 0.02483,
+    ("staircase", "exact", "default"): 0.004521,
+    ("staircase", "exact", "tol1e-8"): 0.0043,
+    ("staircase", "n=8001", "tol1e-8"): 0.02121,
+    ("staircase", "continuum", "tol1e-8"): 0.02253,
+}
+ERRORS = re.compile(r"^(\S+) +(\S+) +(\S+) +lsl err=(\S+) .*  born err=(\S+) rank=\d+$")
+
+
+def test_two_gaussians_and_staircase_image_better_by_lsl_than_born():
+    script = _script()
+    media = {name: script.MEDIA[name] for name in ("two-gaussians", "staircase")}
+    rows = {}
+    for line in script.table(media, levels=(), seeds=()):
+        m = ERRORS.match(line)
+        assert m, line
+        rows[m[1], m[2], m[3]] = float(m[4]), float(m[5])
+    assert set(LSL_ERRORS) < set(rows)
+    for key, today in LSL_ERRORS.items():
+        lsl, born = rows[key]
+        assert lsl < born and lsl <= 1.1 * today, (key, lsl, born)

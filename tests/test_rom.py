@@ -249,6 +249,15 @@ class TestLanczos:
             with pytest.raises(ValueError, match="^the pencil's S, M and b must be finite$"):
                 lanczos(pencil)
 
+    def test_overflowing_mass_spectrum_rejected(self):
+        # the pencil is finite, but eigh(M) returns [0, inf]
+        data = DataSet(1.0, [(-0.5, -1.25e307, -1e308), (-0.25, 1.25e307, -1e308)])
+        pencil = build_loewner(data)
+        assert all(np.all(np.isfinite(a)) for a in (pencil.S, pencil.M, pencil.b))
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateMassError, match="^mass matrix's largest eigenvalue is inf, not finite$"):
+            lanczos(pencil)
+
     @pytest.mark.parametrize("name, index, bad", [
         ("M", (0, 0), np.nan),  # eigh would return NaNs, and k = 1 with no error
         ("S", (1, 2), np.inf),
