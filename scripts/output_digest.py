@@ -19,9 +19,13 @@ can set another count.) `inproc-gaussian-L2.5/` runs the gaussian preset at
 L = 2.5 with rel_threshold 1e-3 on a small grid, so a change to how the
 summary writes a non-default L, threshold or error shows. Last,
 `robustness-table` hashes the 140 lines of robustness_table.py's table, so a
-change that moves an error on noisy, off-grid or continuum data shows too.
+change that moves an error on noisy, off-grid or continuum data shows too,
+and `contrast-sweep` its contrast sweep, which does the same for strong media.
 Prints one sorted `sha256  name` line per output file, per stdout, per stderr
-plus exit code, and for the table. Paths in the outputs are relative to the
+plus exit code, and for the table and the sweep. Then it checks the three
+"must hash as" pairs above: for each of the five files of a pair whose hashes
+differ, it writes one stderr line naming the file, and it exits 1, with the
+printed lines unchanged. Paths in the outputs are relative to the
 temporary directory, so two trees give comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
@@ -54,6 +58,10 @@ CONFIGS = {
     # wider than the resonance gaps, so no sample is cleared without a Sturm count
     "gaussian-strong.cfg": CONFIG.format("gaussian") + "gaussian_amplitude = 400\n",
 }
+
+# in-process run directory: the CLI run whose files it must reproduce byte for byte
+SAME_FILES = {"inproc-step": "exp-step", "inproc-gaussian-lambda": "exp-gaussian-lambda",
+              "inproc-step-n40-2threads": "exp-step-n40"}
 
 # (name, arguments); each writes into the working directory
 RUNS = [
@@ -143,6 +151,7 @@ def main() -> int:
         import robustness_table
         from lslimaging import preset_config, run_experiment
         from lslimaging._lapack import one_blas_thread
+        from lslimaging.experiment import OUTPUT_FILES
 
         with tempfile.TemporaryDirectory() as first:
             run_experiment(preset_config("gaussian", outdir=first))
@@ -163,8 +172,15 @@ def main() -> int:
     # the bytes `python scripts/robustness_table.py` prints
     table = "".join(f"{line}\n" for line in robustness_table.table())
     lines.append(f"{_sha(table.encode())}  robustness-table")
+    sweep = "".join(f"{line}\n" for line in robustness_table.contrast())
+    lines.append(f"{_sha(sweep.encode())}  contrast-sweep")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
-    return 0
+    sha = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    differ = [(f"{copy}/{name}", f"{run}/{name}") for copy, run in SAME_FILES.items() for name in OUTPUT_FILES
+              if sha[f"{copy}/{name}"] != sha[f"{run}/{name}"]]
+    for copy, run in differ:
+        sys.stderr.write(f"{copy} does not hash as {run}\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

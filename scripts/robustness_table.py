@@ -15,8 +15,17 @@ data, as run_experiment does. The cases are every combination of
 
 Each line gives, per method, the relative L2 error against the medium on
 the imaging grid and the TSVD rank, and for LSL the Lanczos ranks k (data)
-and k0 (background); or the class of the error the method raised. The output
-is deterministic, so two trees can be diffed as with output_digest.py:
+and k0 (background); or the class of the error the method raised.
+
+After the table comes the contrast sweep: exact data of a Gaussian at centre
+0.5 and width 0.1, one line per amplitude from -400 to 400, imaged with the
+default settings. Each cell adds to the table's the data misfit
+||F(p_est) - F|| / ||F0 - F||, with F(p_est) re-simulated on the imaging grid
+(or the class of the error that raised), and the LSL cell the substitution
+error of V0 Q0 for V Q: the worst relative L2 error of its first 3 columns.
+The sweep runs OpenBLAS on one thread, so its bytes do not depend on the
+thread count. The output is deterministic, so two trees can be diffed as
+with output_digest.py:
 
     PYTHONPATH=<tree>/src python scripts/robustness_table.py > table.txt
 """
@@ -25,7 +34,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,19 +47,26 @@ from lslimaging import (  # noqa: E402
     Grid,
     ImagingError,
     Potential,
+    ReconstructionResult,
     StepPotential,
+    TabulatedPotential,
     ZeroPotential,
+    compute_snapshot_matrix,
     generate_dataset,
+    measure_dataset,
     preset_potential,
     reconstruct,
     relative_l2_error,
     weyl_sample,
 )
+from lslimaging._lapack import one_blas_thread  # noqa: E402
 
 L, NODES, FINE_NODES, N, F = 1.0, 2001, 8001, 10, 4
 LEVELS = (1e-8, 1e-6, 1e-4)
 SEEDS = (1, 2, 3, 4, 5)
 SETTINGS = {"default": {}, "tol1e-8": {"truncation_tol": 1e-8, "rel_threshold": 1e-3}}
+AMPLITUDES = (-400, -200, -150, -100, -50, -20, 5, 20, 50, 100, 150, 200, 400)
+FAILURES = (ImagingError, ValueError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -88,14 +104,17 @@ def datasets(p: Potential, lams: np.ndarray, grid: Grid,
         yield "continuum", oracles.continuum_dataset(p.pieces, lams, grid.L)
 
 
-def outcome(data: DataSet, data0: DataSet, p_true: np.ndarray, grid: Grid, method: str, **settings) -> str:
-    """One method's cell: its error, ranks and TSVD rank, or the class of what it raised."""
+def outcome(data: DataSet, data0: DataSet, p_true: np.ndarray, grid: Grid, method: str,
+            more: Optional[Callable[[ReconstructionResult], str]] = None, **settings) -> str:
+    """One method's cell: its error, ranks and TSVD rank, then what `more` reads off the
+    result, if given; or the class of what the method raised."""
     try:
         result = reconstruct(data, data0, method, grid=grid, **settings)
-    except (ImagingError, ValueError, np.linalg.LinAlgError) as exc:
+    except FAILURES as exc:
         return f"{method} {type(exc).__name__}"
     ranks = "" if result.factors is None else f" k={result.factors[1].k} k0={result.factors[0].k}"
-    return f"{method} err={relative_l2_error(result.p_est, p_true, grid):.4g}{ranks} rank={result.rank}"
+    cell = f"{method} err={relative_l2_error(result.p_est, p_true, grid):.4g}{ranks} rank={result.rank}"
+    return cell if more is None else f"{cell} {more(result)}"
 
 
 def table(media: Dict[str, Potential] = MEDIA, **kinds) -> Iterator[str]:
@@ -111,6 +130,45 @@ def table(media: Dict[str, Potential] = MEDIA, **kinds) -> Iterator[str]:
                 yield f"{name:<13} {kind:<22} {setting:<8} " + "  ".join(cells)
 
 
+def misfit(p_est: np.ndarray, data: DataSet, data0: DataSet, grid: Grid) -> str:
+    """||F(p_est) - F|| / ||F0 - F|| over the samples, F(p_est) simulated on grid; or the class raised."""
+    try:
+        F_est = generate_dataset(TabulatedPotential(p_est), data.lambdas, grid).F
+    except FAILURES as exc:
+        return type(exc).__name__
+    return f"{np.linalg.norm(F_est - data.F) / np.linalg.norm(data0.F - data.F):.4g}"
+
+
+@one_blas_thread
+def contrast(amplitudes: Sequence[float] = AMPLITUDES) -> List[str]:
+    """The contrast sweep's lines, one per Gaussian amplitude (see the module docstring)."""
+    grid = Grid(L, NODES)
+    lams = weyl_sample(N, F, L).lambdas
+    V0 = compute_snapshot_matrix(ZeroPotential(), lams, grid)
+    data0 = measure_dataset(V0, "zero")
+    lines = []
+    for amplitude in amplitudes:
+        p = GaussianPotential(amplitude, 0.5 * L, 0.1 * L)
+        V = compute_snapshot_matrix(p, lams, grid)
+        data = measure_dataset(V, p.label)
+
+        def more(result: ReconstructionResult) -> str:
+            cell = f"misfit={misfit(result.p_est, data, data0, grid)}"
+            if result.factors is None:
+                return cell
+            factors0, factors = result.factors
+            k = min(3, factors.k, factors0.k)
+            VQ, V0Q0 = V.V @ factors.Q[:, :k], V0.V @ factors0.Q[:, :k]
+            subst = max(relative_l2_error(est, true, grid) for est, true in zip(V0Q0.T, VQ.T))
+            return f"{cell} subst={subst:.4g}"
+
+        cells = (outcome(data, data0, p.evaluate(grid), grid, method, more) for method in ("lsl", "born"))
+        lines.append(f"amplitude={amplitude:<5g} " + "  ".join(cells))
+    return lines
+
+
 if __name__ == "__main__":
     for line in table():
+        print(line)
+    for line in contrast():
         print(line)

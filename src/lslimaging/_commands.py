@@ -32,11 +32,9 @@ def _cmd_simulate(args) -> int:
 
     with stage("load-config"):
         config = load_config(args.config, **_parse_overrides(args.set))
-    with stage("sampling"):
-        plan = weyl_sample(config.N, config.f, config.L)
     with stage("simulate"):
-        grid = Grid(config.L, config.n)
-        data = generate_dataset(config.potential, plan.lambdas, grid, label=config.label)
+        plan = weyl_sample(config.N, config.f, config.L)
+        data = generate_dataset(config.potential, plan.lambdas, Grid(config.L, config.n), label=config.label)
     with stage("write-output"):
         save_dataset(data, args.out)
     print(f"wrote {data.m} samples for medium '{data.label}' to {args.out}")

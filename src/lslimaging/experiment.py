@@ -38,11 +38,7 @@ OUTPUT_FILES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs, validated up front.
-
-    The one exception is internal_lambda: a non-finite number is accepted here
-    and rejected by run_experiment before any forward sweep.
-    """
+    """Everything one experiment run needs, validated up front."""
 
     potential: Potential
     L: float = 1.0
@@ -59,8 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.potential, Potential):
             raise ValueError(f"potential must be a Potential, got {self.potential!r}")
-        if self.internal_lambda is not None:
-            _check_number("internal_lambda", self.internal_lambda)
+        if self.internal_lambda is not None and not np.isfinite(_check_number("internal_lambda", self.internal_lambda)):
+            raise ValueError(f"internal_lambda must be finite, got {self.internal_lambda}")
         object.__setattr__(self, "outdir", Path(self.outdir))
         if isinstance(self.methods, str):  # tuple() would split it into letters
             raise ValueError(f"methods must be a sequence of method names, got the string {self.methods!r}")
@@ -78,7 +74,7 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate entries in method list")
         # fail fast, with the modules' own checks
-        Grid(self.L, self.n)
+        self.potential.evaluate(Grid(self.L, self.n))
         weyl_sample(self.N, self.f, self.L)
         for name in ("n", "N", "f"):  # integral, as checked: stored as int, so 401.0 is written as 401
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -242,23 +238,17 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     table (x, u_true, u_background, u_lsl) at one intermediate spectral
     parameter, and a key=value summary with errors and singular values.
     Columns of methods that were not requested are filled with nan.
-    Raises ExperimentError naming the failing stage; a non-finite
-    internal_lambda fails its stage before any forward sweep runs.
+    Raises ExperimentError naming the failing stage.
 
     The background comes from the background model the process keeps for
     one sampling plan (see reconstruct), whose key leaves out the medium: a
     run after the first with the same L, n, N and f solves only for the true
     medium (and the background at a new internal_lambda), bytes unchanged.
     """
-    lam = config.internal_lambda
-    with stage("internal-solution"):
-        if lam is not None and not np.isfinite(lam):
-            raise ValueError(f"internal_lambda must be finite, got {lam}")
-    with stage("validate"):
-        grid = Grid(config.L, config.n)
-        p_true = config.potential.evaluate(grid)
-    with stage("sampling"):
-        plan = weyl_sample(config.N, config.f, config.L)
+    # the config has built these once already, so they cannot fail here
+    grid = Grid(config.L, config.n)
+    p_true = config.potential.evaluate(grid)
+    plan = weyl_sample(config.N, config.f, config.L)
     with stage("simulate-true"):
         data = generate_dataset(config.potential, plan.lambdas, grid,
                                 label=f"{config.label}-true")
@@ -277,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
             )
 
     with stage("internal-solution"):
-        lam_star = default_internal_lambda(plan.lambdas) if lam is None else lam
+        lam_star = default_internal_lambda(plan.lambdas) if config.internal_lambda is None else config.internal_lambda
         u_true = solve_forward(config.potential, lam_star, grid).values
         nodes_text, u_bg, u_bg_text = _background_columns(grid, lam_star)
         u_lsl = (lsl_internal(background.V0, *results["lsl"].factors, lam_star).values

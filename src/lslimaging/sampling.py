@@ -32,8 +32,12 @@ class SamplingPlan:
 
 def approximate_resonances(N: int, L: float) -> np.ndarray:
     """The first N+1 background resonances r_k = -(k pi / L)^2, k = 0..N."""
-    N = _check_count("resonance index N", N, 0)
-    return -((np.arange(N + 1) * np.pi / _check_length(L)) ** 2)
+    N, L = _check_count("resonance index N", N, 0), _check_length(L)
+    with np.errstate(over="ignore"):
+        r = -((np.arange(N + 1) * np.pi / L) ** 2)
+    if not np.isfinite(r[-1]):
+        raise ValueError(f"domain length must be long enough for {N} finite resonances, got {L}")
+    return r
 
 
 def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:

@@ -13,6 +13,7 @@ from lslimaging import (
     ImagingError,
     Grid,
     StepPotential,
+    TabulatedPotential,
     ZeroPotential,
     assemble_operator,
     load_dataset,
@@ -180,6 +181,15 @@ class TestConfigParsing:
     def test_a_field_that_is_not_its_type_is_named(self, name, value, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{"potential": ZeroPotential(), name: value})
+
+    def test_a_medium_that_does_not_fit_the_grid_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^tabulated potential has \(400,\) values, grid has 401 nodes$"):
+            ExperimentConfig(TabulatedPotential(np.zeros(400)), n=401)
+        assert ExperimentConfig(TabulatedPotential(np.zeros(401)), n=401).n == 401
+
+    def test_a_plan_whose_resonances_overflow_is_rejected(self):
+        with pytest.raises(ValueError, match="^domain length must be long enough for 10 finite resonances, got 1e-160$"):
+            ExperimentConfig(ZeroPotential(), L=1e-160)
 
     def test_methods_given_as_one_string_rejected(self):
         with pytest.raises(ValueError, match="^methods must be a sequence of method names, got the string 'lsl'$"):
@@ -361,10 +371,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_internal_lambda_is_named(self, tmp_path, lam):
-        config = preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
-        with pytest.raises(ExperimentError, match=f"finite, got {lam}") as excinfo:
-            run_experiment(config)
-        assert excinfo.value.stage == "internal-solution"
+        with pytest.raises(ValueError, match=f"finite, got {lam}"):
+            preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_internal_lambda_fails_before_any_solve(self, tmp_path, monkeypatch, lam):
@@ -376,9 +384,8 @@ class TestRunExperiment:
             return resolvent_apply(*args, **kwargs)
 
         monkeypatch.setattr(lslimaging.forward, "resolvent_apply", counting)
-        config = preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
-        with pytest.raises(ExperimentError, match="internal_lambda must be finite"):
-            run_experiment(config)
+        with pytest.raises(ValueError, match="internal_lambda must be finite"):
+            preset_config("zero", outdir=tmp_path, internal_lambda=lam, **FAST)
         assert solves == []
 
     @pytest.mark.parametrize("lams, expected", [
@@ -476,7 +483,7 @@ class TestCli:
         (["simulate", "--config", "true.cfg", "--out", "missing/o.txt"], "write-output",
          "[Errno 2] No such file or directory"),
         (["experiment", "zero", "--nodes", "2", "--outdir", "run"], "configure", "node count must be an integer >= 3"),
-        (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "internal-solution",
+        (["experiment", "zero", "--internal-lambda", "nan", "--outdir", "run"], "configure",
          "internal_lambda must be finite, got nan"),
         (["experiment", "zero", "--internal-lambda", "0", "--nodes", "401", "--intervals", "3",
           "--f", "3", "--outdir", "run"], "internal-solution", "lambda = 0 is within"),

@@ -8,11 +8,14 @@ eigenvalue lies in its Weyl enclosure, so skipping the Sturm count outside
 the enclosure decides and solves exactly as counting every time.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import lslimaging.rom
 import oracles
 from lslimaging import (
     DEFAULT_TRUNCATION_TOL,
+    DegenerateMassError,
     RESONANCE_RTOL,
     GaussianPotential,
     Grid,
@@ -61,14 +64,22 @@ def test_loewner_equals_gram(medium, plan, grid):
 
 
 @PROPERTY_SETTINGS
-@given(media, plans, grids)
-def test_lanczos_contract(medium, plan, grid):
+@given(media, plans, grids, st.sampled_from([0.0, 1e-10, 1e-8]), st.integers(1, 1000))
+def test_lanczos_contract(medium, plan, grid, level, seed):
     # Q = Z y scales the retained eigenvectors of M by 1/sqrt(eigenvalue), so
     # roundoff grows with kappa = max / smallest retained eigenvalue; 600 draws
-    # gave at most 2.0 eps kappa (M) and 0.4 eps kappa ||T|| (S)
-    _, pencil = _sweep(medium, plan, grid)
-    factors = lanczos(pencil)
+    # gave at most 2.0 eps kappa (M) and 0.4 eps kappa ||T|| (S) on exact data,
+    # and 1,000 at noise 1e-10 or 1e-8 at most 1.0 and 0.37. Noise may make M
+    # indefinite beyond the gate: N = 3, f = 4, n = 51 at 1e-8, seed 11, gives
+    # min / max eigenvalue -1.2e-8. Such a draw must be refused, and no other.
+    data = measure_dataset(compute_snapshot_matrix(medium, plan.lambdas, grid), "drawn")
+    pencil = build_loewner(oracles.add_noise(data, level, seed))
     eigvals = np.linalg.eigvalsh(pencil.M)
+    if level and eigvals[0] < -lslimaging.rom._INDEFINITE_RTOL * eigvals[-1]:
+        with pytest.raises(DegenerateMassError, match="indefinite"):
+            lanczos(pencil)
+        return
+    factors = lanczos(pencil)
     kappa = eigvals[-1] / eigvals[eigvals >= DEFAULT_TRUNCATION_TOL * eigvals[-1]][0]
     Q, T = factors.Q, factors.T
     assert np.max(np.abs(Q.T @ pencil.M @ Q - np.eye(factors.k))) < 20 * EPS * kappa

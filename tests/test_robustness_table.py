@@ -60,3 +60,21 @@ def test_two_gaussians_and_staircase_image_better_by_lsl_than_born():
     for key, today in LSL_ERRORS.items():
         lsl, born = rows[key]
         assert lsl < born and lsl <= 1.1 * today, (key, lsl, born)
+
+
+# today's LSL error at each Gaussian amplitude of the contrast sweep that does not collapse; beyond
+# these (-150 and below, 200 and above) k falls to 17 against k0 = 27, or the error is not monotone
+CONTRAST_LSL_ERRORS = {-100: 0.05698, -50: 0.0241, -20: 0.01263, 5: 0.002311, 20: 0.003996, 50: 0.0164,
+                       100: 0.03475, 150: 0.07968}
+CONTRAST = re.compile(r"^amplitude=(\S+) +lsl err=(\S+) k=\d+ k0=\d+ rank=\d+ misfit=\S+ subst=\S+"
+                      r"  born err=(\S+) rank=\d+ misfit=\S+$")
+
+
+def test_contrast_sweep_images_weak_and_moderate_media_better_by_lsl_than_born():
+    lines = _script().contrast(tuple(CONTRAST_LSL_ERRORS))
+    matches = [CONTRAST.match(line) for line in lines]
+    assert all(matches), lines
+    assert [float(m[1]) for m in matches] == list(CONTRAST_LSL_ERRORS)
+    for m in matches:
+        lsl, born = float(m[2]), float(m[3])
+        assert lsl < born and lsl <= 1.1 * CONTRAST_LSL_ERRORS[float(m[1])], m[0]

@@ -28,7 +28,8 @@ def test_resonances_are_squared_multiples():
 
 
 @pytest.mark.parametrize("N,f,L", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (2.5, 1, 1.0), (1, 1, -3.0),
-                                   (np.inf, 1, 1.0), (np.nan, 1, 1.0), (1, np.inf, 1.0), (1, np.nan, 1.0)])
+                                   (np.inf, 1, 1.0), (np.nan, 1, 1.0), (1, np.inf, 1.0), (1, np.nan, 1.0),
+                                   (10, 4, 1e-160)])
 def test_invalid_arguments_rejected(N, f, L):
     with pytest.raises(ValueError, match="must be"):  # the module's message, not int()'s
         weyl_sample(N, f, L)
@@ -56,8 +57,11 @@ def test_plan_properties(N, f, L):
 
 
 @pytest.mark.parametrize("N,L", [(-1, 1.0), (2.5, 1.0), (np.inf, 1.0), (np.nan, 1.0), (3, 0.0), (3, -1.0),
-                                 (3, np.inf), (3, np.nan)],
-                         ids=["N-negative", "N-fraction", "N-inf", "N-nan", "L-zero", "L-negative", "L-inf", "L-nan"])
+                                 (3, np.inf), (3, np.nan),
+                                 # r_N overflows: refused, with no overflow warning on the way
+                                 pytest.param(10, 1e-160, marks=pytest.mark.filterwarnings("error"))],
+                         ids=["N-negative", "N-fraction", "N-inf", "N-nan", "L-zero", "L-negative", "L-inf", "L-nan",
+                              "L-tiny"])
 def test_resonances_reject_invalid_arguments(N, L):
     with pytest.raises(ValueError, match="must be"):
         approximate_resonances(N, L)
