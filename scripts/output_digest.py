@@ -30,7 +30,8 @@ temporary directory, so two trees give comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 
-Run it on two trees and `diff` the results, at OPENBLAS_NUM_THREADS=1 and =2.
+`scripts/digest_diff.py OLD_SRC NEW_SRC` runs it on two trees at OPENBLAS_NUM_THREADS=1
+and =2 and diffs the results.
 Bytes are promised only on one machine and library stack, so no reference
 digest is kept. The digest, not the test suite, catches a change in the
 memory layout of a BLAS operand, which picks another kernel and so other

@@ -44,8 +44,9 @@ class TridiagonalOperator:
     """Symmetric tridiagonal discretization of -d^2/dx^2 + p(x).
 
     `diag` holds the n diagonal entries (boundary rows already scaled by
-    1/2), `off` the n-1 identical sub/super-diagonal entries. Both are kept
-    as read-only copies, since `_pencil` is derived from them once.
+    1/2), `off` the n-1 identical sub/super-diagonal entries; other shapes
+    raise ValueError. Both are kept as read-only copies, since `_pencil` is
+    derived from them once.
     """
 
     diag: np.ndarray
@@ -56,6 +57,9 @@ class TridiagonalOperator:
             a = np.array(getattr(self, name))
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.diag.ndim != 1 or self.off.shape != (self.diag.size - 1,):
+            raise ValueError(f"need a 1-D diag and an off-diagonal one entry shorter, got shapes "
+                             f"{self.diag.shape} and {self.off.shape}")
 
     @property
     def n(self) -> int:
@@ -147,7 +151,7 @@ def resolvent_apply(
     symmetrized system (A_sym + lambda D) u = D source is solved, which is
     row-for-row equivalent. Raises ResonanceProximityError when lambda is
     within RESONANCE_RTOL * max(1, |lambda|) of a discrete eigenvalue, and
-    ValueError when lambda or the source is not finite.
+    ValueError when lambda is not finite or the source is not n finite values.
 
     The route, per call, runs LAPACK routines of numpy's own library (see
     `_lapack`). The guard looks at the window [-lambda - reach,
@@ -168,9 +172,9 @@ def resolvent_apply(
         raise ValueError(f"spectral parameter must be finite, got {lam}")
     _check_size(op, grid)
     dw, bd, be, bound, mu, lo, hi = op._pencil
-    rhs = dw * source
-    if rhs.shape != (op.n,) or not np.isfinite(rhs).all():
+    if np.shape(source) != (op.n,) or not np.isfinite(source).all():
         raise ValueError(f"source must be {op.n} finite values")
+    rhs = dw * source
     tol = RESONANCE_RTOL * max(1.0, abs(lam))
     reach = tol + _STURM_SLACK * bound
     # the lowest enclosure interval that ends at or above the window's low end

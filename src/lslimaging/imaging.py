@@ -35,7 +35,6 @@ class ImagingSystem:
 
     A: np.ndarray
     d: np.ndarray
-    grid: Grid
     method: str
 
 
@@ -81,7 +80,7 @@ def assemble_system(
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
     A = (grid.weights[:, None] * V0.V * W).T
-    return ImagingSystem(A=A, d=data0.F - data.F, grid=grid, method=method)
+    return ImagingSystem(A=A, d=data0.F - data.F, method=method)
 
 
 @one_blas_thread

@@ -31,9 +31,10 @@ from .transfer import DataSet
 # resolution of the reconstructions.
 DEFAULT_TRUNCATION_TOL = 1e-14
 
-# The mass matrix is declared indefinite (bad data) only beyond this
-# relative level; forward-solver roundoff routinely produces spurious
-# negative eigenvalues around -1e-11 * lambda_max on exact data.
+# The mass matrix is declared indefinite (bad data) only below
+# -max(_INDEFINITE_RTOL, truncation_tol) * lambda_max: forward-solver roundoff
+# routinely produces spurious negative eigenvalues around -1e-11 * lambda_max
+# on exact data, and a negative band within what the truncation drops goes with it.
 _INDEFINITE_RTOL = 1e-8
 
 
@@ -44,7 +45,6 @@ class LoewnerPencil:
     S: np.ndarray
     M: np.ndarray
     b: np.ndarray
-    lambdas: np.ndarray
 
     @property
     def m(self) -> int:
@@ -89,7 +89,7 @@ def build_loewner(data: DataSet) -> LoewnerPencil:
     S = (lF[:, None] - lF[None, :]) / gap
     np.fill_diagonal(S, F + lams * dF)
     np.fill_diagonal(M, -dF)
-    return LoewnerPencil(S=S, M=M, b=F.copy(), lambdas=lams.copy())
+    return LoewnerPencil(S=S, M=M, b=F.copy())
 
 
 @one_blas_thread
@@ -109,9 +109,10 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
     factorizations of different media directly comparable column by column.
 
     Raises ValueError when S, M or b holds a non-finite entry,
-    DegenerateMassError when M is indefinite beyond roundoff level or its
-    spectrum overflows, and DegenerateSourceError when b has no component in
-    the retained subspace.
+    DegenerateMassError when M's smallest eigenvalue is below
+    -max(1e-8, truncation_tol) * lambda_max(M) (indefinite beyond roundoff and
+    beyond what the truncation drops) or its spectrum overflows, and
+    DegenerateSourceError when b has no component in the retained subspace.
     """
     _check_fraction("truncation_tol", truncation_tol)
     if not all(np.all(np.isfinite(a)) for a in (pencil.S, pencil.M, pencil.b)):  # eigh would return NaNs
@@ -122,7 +123,7 @@ def lanczos(pencil: LoewnerPencil, truncation_tol: float = DEFAULT_TRUNCATION_TO
         raise DegenerateMassError(f"mass matrix's largest eigenvalue is {lam_max}, not finite")
     if lam_max <= 0.0:
         raise DegenerateMassError("mass matrix has no positive eigenvalues")
-    if eigvals[0] < -_INDEFINITE_RTOL * lam_max:
+    if eigvals[0] < -max(_INDEFINITE_RTOL, truncation_tol) * lam_max:
         raise DegenerateMassError(
             f"mass matrix is indefinite: min eigenvalue {eigvals[0]:.3e} "
             f"vs max {lam_max:.3e}"

@@ -18,11 +18,8 @@ from .grid import _check_count, _check_length
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """N resonance intervals, f points per interval, m = N*f samples."""
+    """The m = N*f sample points, sorted ascending, f inside each of N resonance intervals."""
 
-    N: int
-    f: int
-    L: float
     lambdas: np.ndarray
 
     @property
@@ -52,4 +49,4 @@ def weyl_sample(N: int, f: int, L: float) -> SamplingPlan:
     r = approximate_resonances(N, L)
     fractions = np.arange(1, f + 1) / (f + 1)
     lambdas = (r[:-1, None] + fractions[None, :] * (r[1:, None] - r[:-1, None])).ravel()
-    return SamplingPlan(N=N, f=f, L=float(L), lambdas=np.sort(lambdas))
+    return SamplingPlan(lambdas=np.sort(lambdas))

@@ -1,5 +1,6 @@
 """Forward-solver checks against closed forms and independent recomputations."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ class TestResolventApply:
         diag[7] = bad
         with pytest.raises(ValueError):
             resolvent_apply(TridiagonalOperator(diag=diag, off=op.off), g, -3.0, np.ones(g.n))
+
+    @pytest.mark.parametrize("source", [np.ones(1), 1.0, np.ones(50)], ids=["length-1", "scalar", "length-50"])
+    def test_source_of_another_shape_rejected(self, source):
+        # numpy would broadcast the first two into a constant source
+        g = Grid(L=1.0, n=51)
+        op = assemble_operator(ZeroPotential(), g)
+        with pytest.raises(ValueError, match="^source must be 51 finite values$"):
+            resolvent_apply(op, g, -3.0, source)
+
+    @pytest.mark.parametrize("diag_shape, off_size", [((51,), 1), ((51,), 51), ((51,), 49), ((1, 51), 50)])
+    def test_operator_of_mismatched_shapes_rejected(self, diag_shape, off_size):
+        # an off-diagonal of length 1 would otherwise broadcast into a constant one
+        diag, off = np.full(diag_shape, 2.0), np.full(off_size, -1.0)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {diag_shape} and {(off_size,)}")):
+            TridiagonalOperator(diag=diag, off=off)
 
     def test_operator_of_another_grid_rejected(self):
         g = Grid(L=1.0, n=51)

@@ -68,7 +68,7 @@ def test_a_domain_length_that_is_not_a_number_is_rejected(call):
     (lambda: Grid(1.0, "401"), "node count must be a number, got '401'"),
     (lambda: weyl_sample("3", 2, 1.0), "interval count N must be a number, got '3'"),
     (lambda: approximate_resonances("3", 1.0), "resonance index N must be a number, got '3'"),
-    (lambda: lanczos(LoewnerPencil(np.eye(1), np.eye(1), np.ones(1), np.ones(1)), "1e-8"),
+    (lambda: lanczos(LoewnerPencil(np.eye(1), np.eye(1), np.ones(1)), "1e-8"),
      "truncation_tol must be a number, got '1e-8'"),
     (lambda: reconstruct(SAMPLE, SAMPLE, "lsl", rel_threshold="1e-8"), "rel_threshold must be a number, got '1e-8'"),
     (lambda: GaussianPotential(5.0, 0.5, "0.1"), "width must be a number, got '0.1'"),
