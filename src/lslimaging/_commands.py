@@ -55,7 +55,7 @@ def _cmd_reconstruct(args) -> int:
         names, columns = _reconstruction_table(grid.nodes, np.full(grid.n, np.nan), {args.method: result.p_est}, METHODS)
         _write_rows(args.out, " ".join(names), columns)
     print(
-        f"method={result.method} rank={result.rank} "
+        f"method={args.method} rank={result.rank} "
         f"residual={result.residual_norm:.6e} -> {args.out}"
     )
     return 0

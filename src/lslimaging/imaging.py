@@ -31,17 +31,22 @@ METHODS = ("born", "lsl")
 
 @dataclass(frozen=True, eq=False)
 class ImagingSystem:
-    """Linear system A p = d whose unknown is the nodal potential."""
+    """Linear system A p = d whose unknown is the nodal potential: a 2-D A and a finite d, one entry per row."""
 
     A: np.ndarray
     d: np.ndarray
-    method: str
+
+    def __post_init__(self):  # A is not scanned: its SVD refuses a non-finite entry
+        if np.ndim(self.A) != 2 or np.shape(self.d) != np.shape(self.A)[:1]:
+            raise ValueError(f"need a 2-D A and a d of one entry per row, got shapes "
+                             f"{np.shape(self.A)} and {np.shape(self.d)}")
+        if not np.all(np.isfinite(self.d)):
+            raise ValueError("the right-hand side d must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     p_est: np.ndarray
-    method: str
     regularization: float
     residual_norm: float
     singular_values: np.ndarray
@@ -66,7 +71,6 @@ def assemble_system(
     data0: DataSet,
     V0: SnapshotMatrix,
     W: np.ndarray,
-    method: str = "lsl",
 ) -> ImagingSystem:
     """Fill A and d from the two datasets and the internal-field matrix.
 
@@ -80,7 +84,7 @@ def assemble_system(
     if W.shape != V0.V.shape:
         raise SampleAlignmentError(f"internal fields have shape {W.shape}, expected {V0.V.shape}")
     A = (grid.weights[:, None] * V0.V * W).T
-    return ImagingSystem(A=A, d=data0.F - data.F, method=method)
+    return ImagingSystem(A=A, d=data0.F - data.F)
 
 
 @one_blas_thread
@@ -126,7 +130,6 @@ def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold
     residual = float(np.linalg.norm(A @ p_est - system.d))
     return ReconstructionResult(
         p_est=p_est,
-        method=system.method,
         regularization=float(rel_threshold),
         residual_norm=residual,
         singular_values=s,
@@ -168,10 +171,10 @@ def reconstruct(
     model = _background(grid, data0.lambdas)
     V0 = model.V0
     if method == "born":
-        return _solve(assemble_system(data, data0, V0, V0.V, method=method), model.born, rel_threshold)
+        return _solve(assemble_system(data, data0, V0, V0.V), model.born, rel_threshold)
     factors = (model.factors(data0, truncation_tol), lanczos(build_loewner(data), truncation_tol))
     # the fields are freed once assembled, which lowers the solve's memory peak
-    system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas), method=method)
+    system = assemble_system(data, data0, V0, lsl_fields(V0, *factors, data.lambdas))
     return replace(solve_regularized(system, rel_threshold), factors=factors)
 
 
@@ -218,7 +221,7 @@ class _Background:
     @cached_property
     def born(self) -> Tuple[np.ndarray, ...]:
         """_factor of the Born system's A, which depends on V0 alone."""
-        born = _factor(assemble_system(self.data0, self.data0, self.V0, self.V0.V, method="born").A)
+        born = _factor(assemble_system(self.data0, self.data0, self.V0, self.V0.V).A)
         _read_only(*born)
         return born
 

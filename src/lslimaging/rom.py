@@ -184,9 +184,10 @@ def lsl_fields(
     canonical sign convention, otherwise columns pair up wrongly. One
     eigendecomposition T = S diag(theta) S^T, numpy's eigh, serves every lam;
     the first lam within RESONANCE_RTOL * max(1, |lam|) of some -theta raises
-    RomResonanceError. A non-finite lam or T raises ValueError. S enters S @ y in
-    Fortran order, as LAPACK returns it: eigh hands back a C-ordered copy, which
-    sends the one-lam product through another BLAS kernel and changes the last bits.
+    RomResonanceError. Points that are not a 1-D sequence, or a non-finite lam
+    or T, raise ValueError. S enters S @ y in Fortran order, as LAPACK returns
+    it: eigh hands back a C-ordered copy, which sends the one-lam product
+    through another BLAS kernel and changes the last bits.
     """
     if V0.m != factors0.Q.shape[0] or factors.Q.shape[0] != factors0.Q.shape[0]:
         raise DimensionMismatchError(
@@ -197,6 +198,8 @@ def lsl_fields(
     if k < 1:
         raise DimensionMismatchError("no common retained rank")
     lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1:
+        raise ValueError(f"spectral parameters must be a 1-D sequence, got shape {lams.shape}")
     if not np.all(np.isfinite(lams)):
         raise ValueError(f"spectral parameters must be finite, got {lams[~np.isfinite(lams)].tolist()}")
     T = factors.T[:k, :k]

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .forward import SnapshotMatrix, compute_snapshot_matrix
-from .grid import Grid, _check_length, _check_number
+from .grid import Grid, _check_length
 from .potentials import Potential
 
 # 17 significant digits: every double round-trips, though a shorter text may too.
@@ -76,9 +76,7 @@ class DataSet:
     label: str = ""
 
     def __init__(self, L: float, samples: Union[Sequence[SpectralSample], np.ndarray], label: str = ""):
-        if not _check_number("domain length", L) > 0:
-            raise ValueError(f"domain length must be positive, got {L}")
-        _check_length(L)  # words an infinite L as the grid does
+        L = _check_length(L)
         _check_label(label)
         rows = _checked_rows(samples)
         rows.flags.writeable = False

@@ -187,7 +187,7 @@ def test_criterion_06_oracle_imaging_exactness():
     data, data0 = dataset_pair(GAUSSIAN, 4)
     V0 = compute_snapshot_matrix(ZeroPotential(), data.lambdas, GRID)
     W = compute_snapshot_matrix(GAUSSIAN, data.lambdas, GRID).V
-    system = assemble_system(data, data0, V0, W, method="oracle")
+    system = assemble_system(data, data0, V0, W)
     result = solve_regularized(system, rel_threshold=1e-8)
     err = relative_l2_error(result.p_est, GAUSSIAN.evaluate(GRID), GRID)
     elapsed = time.perf_counter() - start

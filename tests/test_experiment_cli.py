@@ -425,6 +425,16 @@ class TestCli:
         assert np.all(np.isnan(rows[:, 2]))  # born not requested
         assert np.all(np.isfinite(rows[:, 3]))
 
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_reconstruct_prints_the_method_rank_and_residual(self, reconstruct_args, tmp_path, capsys, method):
+        args = list(reconstruct_args)
+        args[args.index("--method") + 1] = method
+        out = tmp_path / "o.txt"
+        assert main(args + ["--out", str(out)]) == 0
+        data, data0 = (load_dataset(args[args.index(flag) + 1]) for flag in ("--data", "--background"))
+        r = reconstruct(data, data0, method, grid=Grid(data.L, int(args[args.index("--nodes") + 1])))
+        assert capsys.readouterr().out == f"method={method} rank={r.rank} residual={r.residual_norm:.6e} -> {out}\n"
+
     def test_simulate_is_reproducible(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         self._write_config(cfg, "gaussian")

@@ -1,4 +1,5 @@
 """Imaging system assembly, the truncated-SVD solve, and reconstructions."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -61,7 +62,7 @@ def V0(g, lambdas):
 class TestAssembleSystem:
     def test_zero_contrast_right_hand_side_vanishes(self, background_data, V0):
         system = assemble_system(background_data, background_data,
-                                 V0, V0.V, method="born")
+                                 V0, V0.V)
         assert np.all(system.d == 0.0)
 
     def test_rows_match_the_per_sample_loop(self, g, gaussian, gaussian_data, background_data, V0):
@@ -74,7 +75,7 @@ class TestAssembleSystem:
 
     def test_born_rows_are_weighted_squared_background(self, g, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 V0, V0.V, method="born")
+                                 V0, V0.V)
         for j in (0, 7):
             u0 = solve_forward(ZeroPotential(), gaussian_data.lambdas[j], g).values
             assert np.allclose(system.A[j], g.weights * u0 * u0, rtol=1e-13, atol=0)
@@ -99,17 +100,29 @@ class TestAssembleSystem:
             assemble_system(gaussian_data, background_data, V0, bad)
 
 
+class TestImagingSystem:
+    def test_non_finite_d_rejected(self):
+        with pytest.raises(ValueError, match="^the right-hand side d must be finite$"):
+            ImagingSystem(A=np.eye(3), d=np.array([1.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize("A, d", [(np.eye(3), np.ones(2)), (np.ones(3), np.ones(3))], ids=["short-d", "1-D-A"])
+    def test_shapes_checked(self, A, d):
+        message = f"need a 2-D A and a d of one entry per row, got shapes {A.shape} and {d.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ImagingSystem(A=A, d=d)
+
+
 class TestSolveRegularized:
     def test_zero_rhs_gives_zero_solution(self, g):
         A = np.vstack([np.ones(g.n), np.linspace(0, 1, g.n)])
-        system = ImagingSystem(A=A, d=np.zeros(2), method="born")
+        system = ImagingSystem(A=A, d=np.zeros(2))
         result = solve_regularized(system)
         assert np.all(result.p_est == 0.0)
         assert result.residual_norm == 0.0
 
     def test_identity_system_returns_rhs(self):
         d = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
-        system = ImagingSystem(A=np.eye(5), d=d, method="born")
+        system = ImagingSystem(A=np.eye(5), d=d)
         result = solve_regularized(system, rel_threshold=0.5)
         assert np.allclose(result.p_est, d, rtol=1e-14)
 
@@ -122,7 +135,7 @@ class TestSolveRegularized:
         sigma = 3.0
         A = sigma * np.outer(u, v)
         d = A @ (2.0 * v)
-        result = solve_regularized(ImagingSystem(A=A, d=d, method="lsl"))
+        result = solve_regularized(ImagingSystem(A=A, d=d))
         expected = (u @ d / sigma) * v
         assert np.allclose(result.p_est, expected, rtol=1e-12)
         assert result.rank == 1
@@ -132,7 +145,7 @@ class TestSolveRegularized:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((30, 200))
         d = rng.standard_normal(30)
-        result = solve_regularized(ImagingSystem(A=A, d=d, method="born"))
+        result = solve_regularized(ImagingSystem(A=A, d=d))
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         keep = s >= DEFAULT_REL_THRESHOLD * s[0]
         p_ref = Vt[keep].T @ ((U[:, keep].T @ d) / s[keep])
@@ -151,7 +164,7 @@ class TestSolveRegularized:
         Q = np.linalg.qr(rng.standard_normal((n, rank)))[0]
         A = (P * np.logspace(0, -2, rank)) @ Q.T
         d = rng.standard_normal(m)
-        result = solve_regularized(ImagingSystem(A=A, d=d, method="born"))
+        result = solve_regularized(ImagingSystem(A=A, d=d))
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         keep = s >= DEFAULT_REL_THRESHOLD * s[0]
         p_ref = Vt[keep].T @ ((U[:, keep].T @ d) / s[keep])
@@ -162,17 +175,17 @@ class TestSolveRegularized:
         assert result.residual_norm == pytest.approx(np.linalg.norm(A @ p_ref - d), rel=1e-12)
 
     def test_all_zero_tall_matrix_rejected(self):
-        system = ImagingSystem(A=np.zeros((4, 3)), d=np.ones(4), method="born")
+        system = ImagingSystem(A=np.zeros((4, 3)), d=np.ones(4))
         with pytest.raises(DegenerateSystemError):
             solve_regularized(system)
 
     def test_all_zero_matrix_rejected(self):
-        system = ImagingSystem(A=np.zeros((3, 4)), d=np.ones(3), method="born")
+        system = ImagingSystem(A=np.zeros((3, 4)), d=np.ones(3))
         with pytest.raises(DegenerateSystemError):
             solve_regularized(system)
 
     def test_threshold_validated(self, g):
-        system = ImagingSystem(A=np.ones((2, g.n)), d=np.ones(2), method="born")
+        system = ImagingSystem(A=np.ones((2, g.n)), d=np.ones(2))
         with pytest.raises(ValueError):
             solve_regularized(system, rel_threshold=0.0)
         with pytest.raises(ValueError):
@@ -180,7 +193,7 @@ class TestSolveRegularized:
 
     def test_result_records_match_recomputation(self, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 V0, V0.V, method="born")
+                                 V0, V0.V)
         result = solve_regularized(system, rel_threshold=1e-6)
         assert result.residual_norm == pytest.approx(
             float(np.linalg.norm(system.A @ result.p_est - system.d)), rel=1e-12, abs=1e-15
@@ -191,7 +204,7 @@ class TestSolveRegularized:
 
     def test_residual_nonincreasing_as_threshold_decreases(self, gaussian_data, background_data, V0):
         system = assemble_system(gaussian_data, background_data,
-                                 V0, V0.V, method="born")
+                                 V0, V0.V)
         residuals = [
             solve_regularized(system, rel_threshold=thr).residual_norm
             for thr in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
@@ -209,7 +222,7 @@ class TestReconstruct:
                                                     lambdas, V0):
         # true internal fields make the equations exactly linear in p
         W = compute_snapshot_matrix(gaussian, lambdas, g).V
-        system = assemble_system(gaussian_data, background_data, V0, W, method="oracle")
+        system = assemble_system(gaussian_data, background_data, V0, W)
         result = solve_regularized(system, rel_threshold=1e-8)
         p_true = gaussian.evaluate(g)
         assert relative_l2_error(result.p_est, p_true, g) < 1e-2
@@ -247,7 +260,7 @@ class TestReconstruct:
         if method == "lsl":
             factors = (lanczos(build_loewner(data0)), lanczos(build_loewner(gaussian_data)))
             W = lsl_fields(V0, *factors, gaussian_data.lambdas)
-        recipe = solve_regularized(assemble_system(gaussian_data, data0, V0, W, method=method))
+        recipe = solve_regularized(assemble_system(gaussian_data, data0, V0, W))
         plain = reconstruct(gaussian_data, data0, method, grid=g)
         assert np.array_equal(recipe.p_est, plain.p_est)
 
@@ -316,7 +329,7 @@ class TestResolution:
     def widths(lambdas, g):
         V0 = compute_snapshot_matrix(ZeroPotential(), lambdas, g)
         data0 = measure_dataset(V0, label="background")
-        A = assemble_system(data0, data0, V0, V0.V, "born").A
+        A = assemble_system(data0, data0, V0, V0.V).A
         _, s, Vt = np.linalg.svd(A, full_matrices=False)
         Vr = Vt[s >= DEFAULT_REL_THRESHOLD * s[0]].T
         widths = []

@@ -528,7 +528,7 @@ class TestFileFormat:
         ("L=1 m=2", "-6.0 0.2 0.5\n-5.0 0.3 -0.1", "line 2: dF must be negative, got 0.5 at lam=-6.0"),
         ("L=1 m=3", "-6.0 0.2 -0.1\n-5.0 0.3 -0.1\n-5.0 0.4 -0.2",
          "line 4: sample points must be strictly increasing and distinct"),
-        ("L=nan m=1", "-6.0 0.2 -0.1", "domain length must be positive, got nan"),
+        ("L=nan m=1", "-6.0 0.2 -0.1", "domain length must be positive and finite, got nan"),
         ("L=inf m=1", "-6.0 0.2 -0.1", "domain length must be positive and finite, got inf"),
     ], ids=["non-numeric", "dF-zero", "dF-positive-first-row", "lambda-repeated", "L-nan", "L-inf"])
     def test_malformed_value_names_file_and_line(self, tmp_path, header, rows, message):
