@@ -17,8 +17,8 @@ length per CHARACTER, and raises numpy.linalg.LinAlgError on a nonzero INFO. An 
 be column-major and of its kind's dtype (ValueError) and writable wherever LAPACK writes it
 (TypeError): only an R array, as the kept Born factors, may be read-only; an empty array
 passes numpy's own pointer.
-one_blas_thread holds the library to one thread: on the pipeline's 2001 x m steps, m <= 160,
-a second one saves no wall time, spins a core after each call, and changes the roundoff.
+one_blas_thread holds the library to one thread where BLAS runs, on rom.lanczos, rom.lsl_fields, imaging._factor
+and imaging._solve: on 2001 x m steps, m <= 160, a second one saves no wall time, spins a core, changes the roundoff.
 """
 from __future__ import annotations
 

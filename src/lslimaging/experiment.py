@@ -8,7 +8,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._lapack import one_blas_thread
 from .errors import stage
 from .forward import solve_forward
 from .grid import Grid, _check_fraction, _check_length, _check_number
@@ -124,8 +123,9 @@ _MEDIUM_KEYS = ("gaussian_amplitude", "gaussian_center", "gaussian_width", "step
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored, a repeated key refused."""
     out: Dict[str, str] = {}
+    seen: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,7 +134,9 @@ def parse_config_text(text: str) -> Dict[str, str]:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         _check_key(key, f"config line {lineno}: ")
-        out[key] = value
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {seen[key]}")
+        out[key], seen[key] = value, lineno
     return out
 
 
@@ -229,7 +231,6 @@ def _background_columns(grid: Grid, lam: float) -> Tuple[_Text, np.ndarray, _Tex
     return _Text(grid.nodes), u, _Text(u)
 
 
-@one_blas_thread
 def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
     """Run the full pipeline and write the output files into config.outdir.
 

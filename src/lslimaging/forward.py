@@ -202,11 +202,16 @@ def _boundary_source(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SnapshotMatrix:
-    """Columns are forward-problem solutions at the sample points."""
+    """Columns are forward-problem solutions at the sample points: V is grid.n x lambdas.size."""
 
     V: np.ndarray
     grid: Grid
     lambdas: np.ndarray
+
+    def __post_init__(self):
+        expected = (self.grid.n, np.size(self.lambdas))
+        if np.shape(self.V) != expected:
+            raise ValueError(f"V must have shape (grid.n, lambdas.size) = {expected}, got {np.shape(self.V)}")
 
     @property
     def m(self) -> int:

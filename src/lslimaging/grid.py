@@ -62,10 +62,6 @@ class Grid:
         for name, value in (("L", L), ("n", n), ("h", h), ("nodes", nodes), ("weights", weights)):
             object.__setattr__(self, name, value)
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Quadrature-weighted L2 inner product of two nodal functions."""
-        return float(np.sum(self.weights * f * g))
-
     def norm(self, f: np.ndarray) -> float:
         """Quadrature-weighted L2 norm."""
         return float(np.sqrt(np.sum(self.weights * f * f)))

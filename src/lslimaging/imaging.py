@@ -87,7 +87,6 @@ def assemble_system(
     return ImagingSystem(A=A, d=data0.F - data.F)
 
 
-@one_blas_thread
 def solve_regularized(
     system: ImagingSystem, rel_threshold: float = DEFAULT_REL_THRESHOLD
 ) -> ReconstructionResult:
@@ -108,6 +107,7 @@ def solve_regularized(
     return _solve(system, _factor(system.A), rel_threshold)
 
 
+@one_blas_thread
 def _factor(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     """(V, T, U, s, Vt): the blocked QR A^T = Q R (dgeqrt's reflectors V and T), then R = U diag(s) Vt."""
     V = np.array(A.T, order="F")
@@ -116,6 +116,7 @@ def _factor(A: np.ndarray) -> Tuple[np.ndarray, ...]:
     return V, T, U, s, Vt
 
 
+@one_blas_thread
 def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold: float) -> ReconstructionResult:
     """The TSVD solution of `system` from the _factor of its A."""
     V, T, U, s, Vt = factors
@@ -137,7 +138,6 @@ def _solve(system: ImagingSystem, factors: Tuple[np.ndarray, ...], rel_threshold
     )
 
 
-@one_blas_thread
 def reconstruct(
     data: DataSet,
     data0: DataSet,
@@ -189,7 +189,6 @@ def relative_l2_error(p_est: np.ndarray, p_true: np.ndarray, grid: Grid) -> floa
     return err if ref == 0.0 else err / ref
 
 
-@one_blas_thread
 def background_rom(data0: DataSet, grid: Grid, truncation_tol: float = DEFAULT_TRUNCATION_TOL):
     """Convenience: the cached background model's V0 and Lanczos factors of data0 (shared, read-only)."""
     _check_alignment(data0, data0, grid, None)

@@ -165,7 +165,11 @@ def load_dataset(path: Union[str, Path]) -> DataSet:
     bad = [tok for tok in meta.split() if "=" not in tok]
     if bad:
         raise ValueError(f"{path}: header token {bad[0]!r} is not key=value")
-    fields = dict(tok.split("=", 1) for tok in meta.split())
+    fields = {}
+    for key, value in (tok.split("=", 1) for tok in meta.split()):
+        if key in fields:
+            raise ValueError(f"{path}: header key {key!r} is repeated")
+        fields[key] = value
     numbers = {}
     for key, parse, kind in (("L", float, "a number"), ("m", int, "an integer")):
         try:

@@ -54,6 +54,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("just some words\n")
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ValueError, match=r"^config line 3: key 'n' repeats line 1$"):
+            parse_config_text("n = 401\n# a comment\nn = 2001\n")
+
     def test_mapping_builds_each_potential_kind(self):
         cfg = config_from_mapping({"potential": "zero"})
         assert isinstance(cfg.potential, ZeroPotential)

@@ -12,6 +12,7 @@ from lslimaging import (
     GaussianPotential,
     Grid,
     ResonanceProximityError,
+    SnapshotMatrix,
     StepPotential,
     TabulatedPotential,
     TridiagonalOperator,
@@ -203,8 +204,8 @@ class TestResolventApply:
         rng = np.random.default_rng(7)
         f, h = rng.standard_normal(g.n), rng.standard_normal(g.n)
         lam = -7.3
-        lhs = g.inner(f, resolvent_apply(op, g, lam, h))
-        rhs = g.inner(h, resolvent_apply(op, g, lam, f))
+        lhs = np.sum(g.weights * f * resolvent_apply(op, g, lam, h))
+        rhs = np.sum(g.weights * h * resolvent_apply(op, g, lam, f))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
@@ -337,3 +338,10 @@ class TestSnapshotMatrix:
             ab[1, :] = op.diag + lam * dw
             ab[2, :-1] = op.off
             assert np.array_equal(V[:, j], scipy.linalg.solve_banded((1, 1), ab, dw * source)), lam
+
+    @pytest.mark.parametrize("shape", [(51, 2), (50, 3), (51,)], ids=["few-columns", "few-rows", "1-D"])
+    def test_v_of_another_shape_rejected(self, shape):
+        # numpy would fail later, inside measure_dataset's stack or lsl_fields' product
+        g, lams = Grid(L=1.0, n=51), np.array([-30.0, -20.0, -10.0])
+        with pytest.raises(ValueError, match=re.escape(f"= (51, 3), got {shape}")):
+            SnapshotMatrix(V=np.ones(shape), grid=g, lambdas=lams)

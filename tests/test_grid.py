@@ -33,10 +33,9 @@ def test_weight_sum_across_sizes(L, n):
     assert np.sum(g.weights) == pytest.approx(L, rel=1e-13)
 
 
-def test_inner_product_of_ones_is_L():
+def test_norm_of_ones_is_sqrt_L():
     g = Grid(L=3.0, n=301)
     ones = np.ones(g.n)
-    assert g.inner(ones, ones) == pytest.approx(3.0, rel=1e-13)
     assert g.norm(ones) == pytest.approx(np.sqrt(3.0), rel=1e-13)
 
 

@@ -79,3 +79,12 @@ def test_both_report_a_bad_L_as_the_grid_does(L):
 def test_resonances_take_an_integral_float_count_and_zero():
     assert np.array_equal(approximate_resonances(3.0, 2.0), approximate_resonances(3, 2.0))
     assert np.array_equal(approximate_resonances(0, 1.0), [0.0])
+
+
+@pytest.mark.parametrize("N", [1, 3, 10, 40])
+@pytest.mark.parametrize("f", range(1, 9))
+def test_plans_at_f_and_f_plus_1_share_no_point(N, f):
+    # interval fractions i/(f+1) and j/(f+2) never coincide, so the f + 1 plan is a held-out set for the f plan
+    a, b = weyl_sample(N, f, 1.0).lambdas, weyl_sample(N, f + 1, 1.0).lambdas
+    gap = np.min(np.abs(a[:, None] - b[None, :]) / np.abs(a[:, None]))
+    assert gap > 5e-4  # the smallest measured, 5.5e-4, is at N = 40 and f = 8

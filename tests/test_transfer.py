@@ -510,6 +510,7 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("header, message", [
         ("# L=1 m=1 bogus label=x", "header token 'bogus' is not key=value"),
+        ("# L=1 L=2 m=1 label=a", "header key 'L' is repeated"),
         ("# L=1 m=one label=x", "header token 'm=one' is not an integer"),
         ("# L=1.0 m=1.0 label=x", "header token 'm=1.0' is not an integer"),
         ("# L=wide m=1 label=x", "header token 'L=wide' is not a number"),
