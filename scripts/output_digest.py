@@ -2,11 +2,14 @@
 
 Runs a fixed set of `lslimaging` commands in a temporary directory: seven
 preset experiments, six `simulate` runs, both `reconstruct` methods, the
-top-level and each subcommand's `--help` at 80 columns, twelve failure cases
+top-level and each subcommand's `--help` at 80 columns, thirteen failure cases
 and one usage error per subcommand (a required option left out), so a parser
-change that alters help or usage text shows too. Then, in this process, it runs the gaussian and the step
-preset back to back on one sampling plan and keeps the second run's files
-(`inproc-step/`): the step run reuses the background model the gaussian run
+change that alters help or usage text shows too. Two more runs read an input
+that starts with a UTF-8 byte-order mark, a copy of `gaussian.cfg` for
+`simulate` and of `true.txt` for the LSL `reconstruct`; their output files
+must hash as `true.txt` and `rec-lsl.txt` do. Then, in this process, it runs
+the gaussian and the step preset back to back on one sampling plan and keeps
+the second run's files (`inproc-step/`): the step run reuses the background model the gaussian run
 cached, so its files must hash as `exp-step/`'s do. A third run on that plan,
 the gaussian preset at another internal_lambda (`inproc-gaussian-lambda/`),
 must hash as the cold `exp-gaussian-lambda/`, so a background field kept for
@@ -22,11 +25,12 @@ summary writes a non-default L, threshold or error shows. Last,
 change that moves an error on noisy, off-grid or continuum data shows too,
 and `contrast-sweep` its contrast sweep, which does the same for strong media.
 Prints one sorted `sha256  name` line per output file, per stdout, per stderr
-plus exit code, and for the table and the sweep. Then it checks the three
-"must hash as" pairs above: for each of the five files of a pair whose hashes
-differ, it writes one stderr line naming the file, and it exits 1, with the
-printed lines unchanged. Paths in the outputs are relative to the
-temporary directory, so two trees give comparable lines:
+plus exit code, and for the table and the sweep. Then it checks the five
+"must hash as" pairs above: for each file of a pair (each of the five output
+files of an in-process run) whose hashes differ, it writes one stderr line
+naming the file, and it exits 1, with the printed lines unchanged. Paths in
+the outputs are relative to the temporary directory, so two trees give
+comparable lines:
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 
@@ -41,6 +45,7 @@ stdouts) while all 491 tests then in the suite passed.
 """
 from __future__ import annotations
 
+import codecs
 import hashlib
 import os
 import subprocess
@@ -63,6 +68,10 @@ CONFIGS = {
 # in-process run directory: the CLI run whose files it must reproduce byte for byte
 SAME_FILES = {"inproc-step": "exp-step", "inproc-gaussian-lambda": "exp-gaussian-lambda",
               "inproc-step-n40-2threads": "exp-step-n40"}
+# a run whose input starts with a byte-order mark: (its input, the plain file copied into it just before the run)
+BOM_INPUTS = {"sim-true-bom": ("gaussian-bom.cfg", "gaussian.cfg"), "rec-lsl-bom": ("true-bom.txt", "true.txt")}
+# output file of a run in BOM_INPUTS: the plain run's output file it must reproduce byte for byte
+SAME_BYTES = {"true-from-bom.txt": "true.txt", "rec-lsl-from-bom.txt": "rec-lsl.txt"}
 
 # (name, arguments); each writes into the working directory
 RUNS = [
@@ -86,6 +95,9 @@ RUNS = [
                   "--method", "born", "--out", "rec-born.txt"]),
     ("rec-lsl", ["reconstruct", "--data", "true.txt", "--background", "background.txt",
                  "--method", "lsl", "--out", "rec-lsl.txt"]),
+    ("sim-true-bom", ["simulate", "--config", "gaussian-bom.cfg", "--out", "true-from-bom.txt"]),
+    ("rec-lsl-bom", ["reconstruct", "--data", "true-bom.txt", "--background", "background.txt",
+                     "--method", "lsl", "--out", "rec-lsl-from-bom.txt"]),
     # the parser's text: the top-level help and each subcommand's
     ("help", ["--help"]),
     ("help-simulate", ["simulate", "--help"]),
@@ -104,6 +116,7 @@ FAILURES = [
     ("fail-reconstruct-not-utf8", ["reconstruct", "--data", "not-utf8.txt", "--background",
                                    "background.txt", "--method", "lsl", "--out", "o.txt"]),
     ("fail-simulate-load-config", ["simulate", "--config", "bad.cfg", "--out", "o.txt"]),
+    ("fail-simulate-not-utf8", ["simulate", "--config", "not-utf8.cfg", "--out", "o.txt"]),
     ("fail-simulate-write-output", ["simulate", "--config", "gaussian.cfg", "--out", "missing/o.txt"]),
     ("fail-simulate-set-unknown-key", ["simulate", "--config", "gaussian.cfg", "--set", "nodes=5",
                                        "--out", "o.txt"]),
@@ -138,9 +151,13 @@ def main() -> int:
         (work / "bad-row.txt").write_text("# L=1 m=2 label=bad\n-9 0.5 -0.1\n-4 abc -0.2\n")
         # a dataset with a line that is not UTF-8
         (work / "not-utf8.txt").write_bytes(b"# L=1 m=2 label=bad\n-9 0.5 -0.1\n\xff\xfe\n-4 0.6 -0.2\n")
+        (work / "not-utf8.cfg").write_bytes(b"L = 1.0\n\xff\xfe\n")
         for name, text in CONFIGS.items():
             (work / name).write_text(text)
         for name, args in RUNS + FAILURES:
+            if name in BOM_INPUTS:
+                copy, plain = BOM_INPUTS[name]
+                (work / copy).write_bytes(codecs.BOM_UTF8 + (work / plain).read_bytes())
             proc = subprocess.run([sys.executable, "-m", "lslimaging.cli", *args],
                                   cwd=work, env=env, capture_output=True)
             if name.startswith("fail-"):
@@ -177,8 +194,8 @@ def main() -> int:
     lines.append(f"{_sha(sweep.encode())}  contrast-sweep")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     sha = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
-    differ = [(f"{copy}/{name}", f"{run}/{name}") for copy, run in SAME_FILES.items() for name in OUTPUT_FILES
-              if sha[f"{copy}/{name}"] != sha[f"{run}/{name}"]]
+    pairs = [(f"{copy}/{name}", f"{run}/{name}") for copy, run in SAME_FILES.items() for name in OUTPUT_FILES]
+    differ = [(copy, run) for copy, run in pairs + list(SAME_BYTES.items()) if sha[copy] != sha[run]]
     for copy, run in differ:
         sys.stderr.write(f"{copy} does not hash as {run}\n")
     return 1 if differ else 0

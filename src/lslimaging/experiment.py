@@ -23,7 +23,8 @@ from .imaging import (
 from .potentials import GaussianPotential, Potential, StepPotential, ZeroPotential
 from .rom import DEFAULT_TRUNCATION_TOL, lsl_internal
 from .sampling import weyl_sample
-from .transfer import DataSet, _check_label, _reconstruction_table, _Text, _write_rows, generate_dataset, save_dataset
+from .transfer import (DataSet, _check_label, _read_text, _reconstruction_table, _Text, _write_rows, generate_dataset,
+                       save_dataset)
 
 #: File names written by run_experiment, in a fixed order.
 OUTPUT_FILES = (
@@ -193,7 +194,7 @@ def config_from_mapping(mapping: Mapping[str, object], **overrides) -> Experimen
 
 
 def load_config(path: Union[str, Path], **overrides) -> ExperimentConfig:
-    return config_from_mapping(parse_config_text(Path(path).read_text(encoding="utf-8")), **overrides)
+    return config_from_mapping(parse_config_text(_read_text(path)), **overrides)
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
@@ -311,7 +312,7 @@ def run_experiment(config: ExperimentConfig) -> Dict[str, Path]:
 def read_summary(path: Union[str, Path]) -> Dict[str, str]:
     """Parse a summary file back into a key -> raw string mapping."""
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         if " = " in line:
             key, value = line.split(" = ", 1)
             out[key] = value

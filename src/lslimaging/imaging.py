@@ -204,15 +204,16 @@ def _read_only(*arrays: np.ndarray) -> None:
 class _Background:
     """The zero-potential reference medium of one sampling plan on one grid.
 
-    V0 is its own sweep at the sample points, V in C order; on first use come
-    the data0 measured from it, the Lanczos factors of the last background
-    data asked for and born (the Born system's TSVD factorization). None
-    depends on the medium imaged, and all are read-only. The kept model
+    Its one sweep at the sample points gives V0 (V in C order) and data0. On
+    first use come the Lanczos factors of the last background data asked for
+    and born, the Born system's TSVD factorization, which only "born" needs.
+    None depends on the medium imaged, and all are read-only. The kept model
     (_background) holds 2 * n * m * 8 bytes; the rest is O(m^2).
     """
 
     def __init__(self, grid: Grid, lambdas: np.ndarray):
         sweep = compute_snapshot_matrix(ZeroPotential(), lambdas, grid)
+        self.data0 = measure_dataset(sweep, label="")  # columns summed alone: the bytes V0 would give
         self.V0 = replace(sweep, V=np.ascontiguousarray(sweep.V))
         _read_only(self.V0.V, self.V0.lambdas)
         self._factors: Tuple = (None, None)  # (key, LanczosFactors) of the last data0
@@ -223,10 +224,6 @@ class _Background:
         born = _factor(assemble_system(self.data0, self.data0, self.V0, self.V0.V).A)
         _read_only(*born)
         return born
-
-    @cached_property
-    def data0(self) -> DataSet:
-        return measure_dataset(self.V0, label="")
 
     def factors(self, data0: DataSet, truncation_tol: float) -> LanczosFactors:
         """lanczos(build_loewner(data0), truncation_tol) for data0 on the model's sample points,

@@ -149,12 +149,18 @@ def _reconstruction_table(x, p_true, estimates: Mapping[str, np.ndarray], method
     return ("x", "p_true", *(f"p_{m}" for m in methods)), (x, p_true, *(estimates.get(m, nan_col) for m in methods))
 
 
-def load_dataset(path: Union[str, Path]) -> DataSet:
-    """Read a dataset written by save_dataset; every fault names the file, and a row's fault its line."""
+def _read_text(path: Union[str, Path]) -> str:
+    """A UTF-8 file's text less one leading byte-order mark; bytes not UTF-8 raise a ValueError naming the offset."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte offset {exc.start}: not {exc.encoding} text ({exc.reason})") from None
+    return text.removeprefix("\ufeff")
+
+
+def load_dataset(path: Union[str, Path]) -> DataSet:
+    """Read a dataset written by save_dataset; every fault names the file, and a row's fault its line."""
+    text = _read_text(path)
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("#"):
         raise ValueError(f"{path}: missing dataset header line")

@@ -25,7 +25,7 @@ from lslimaging import (
     weyl_sample,
 )
 from lslimaging.experiment import _background_columns, default_internal_lambda
-from lslimaging.transfer import _FMT
+from lslimaging.transfer import _FMT, measure_dataset
 
 FAST = dict(n=401, N=3, f=3)
 GRID = Grid(1.0, FAST["n"])
@@ -148,6 +148,16 @@ def test_every_cached_array_is_read_only(tmp_path):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("L, n, N, f", [(1.0, 401, 3, 3), (1.0, 2001, 10, 4), (2.0, 51, 3, 1)])
+def test_kept_data0_is_the_measurement_of_the_kept_v0(L, n, N, f):
+    # data0 is measured from the column-major sweep, V0 is its C-order copy
+    model = lslimaging.imaging._background(Grid(L, n), weyl_sample(N, f, L).lambdas)
+    assert model.V0.V.flags.c_contiguous
+    measured = measure_dataset(model.V0, label="")
+    for name in ("lambdas", "F", "dF"):
+        assert getattr(model.data0, name).tobytes() == getattr(measured, name).tobytes()
 
 
 def test_one_plan_is_kept():

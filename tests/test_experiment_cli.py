@@ -1,4 +1,6 @@
 """Experiment orchestration, configuration files, and the command line."""
+import codecs
+import re
 import sys
 
 import numpy as np
@@ -101,6 +103,19 @@ class TestConfigParsing:
         path.write_text("potential = zero\nmethods =\n")
         with pytest.raises(ValueError, match="empty method list"):
             load_config(path)
+
+    def test_config_with_a_byte_order_mark_builds_the_plain_config(self, tmp_path):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("L = 2.0\npotential = gaussian\nn = 101\n", encoding="utf-8")
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_config(bom) == load_config(plain)
+
+    def test_config_that_is_not_utf8_names_file_and_byte_offset(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"L = 1\n\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: byte offset 6: not utf-8 text ") as excinfo:
+            load_config(bad)
+        assert not isinstance(excinfo.value, UnicodeError)
 
     @pytest.mark.parametrize("label", ["a\nb", "a\x1cb", "a\u2028b"])
     def test_label_with_a_line_break_rejected(self, label):
@@ -282,6 +297,12 @@ class TestRunExperiment:
         rows = np.loadtxt(paths["reconstruction"], skiprows=1)
         assert np.max(np.abs(rows[:, 2])) < 1e-6
         assert np.max(np.abs(rows[:, 3])) < 1e-6
+
+    def test_summary_with_a_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
+        paths = run_experiment(preset_config("zero", outdir=tmp_path, **FAST))
+        bom = tmp_path / "bom-summary.txt"
+        bom.write_bytes(codecs.BOM_UTF8 + paths["summary"].read_bytes())
+        assert read_summary(bom) == read_summary(paths["summary"])
 
     def test_dataset_files_reload(self, tmp_path):
         paths = run_experiment(preset_config("zero", outdir=tmp_path, **FAST))

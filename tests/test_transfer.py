@@ -1,4 +1,5 @@
 """Transfer data: measurement, the resolvent-identity derivative, file format."""
+import codecs
 import math
 import os
 import re
@@ -461,6 +462,15 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: byte offset {len(head)}: ") as excinfo:
             load_dataset(bad)
         assert not isinstance(excinfo.value, UnicodeError)
+
+    def test_file_with_a_byte_order_mark_loads_as_the_plain_file(self, g, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        save_dataset(generate_dataset(ZeroPotential(), [-5.0, -2.0], g, label="zero"), plain)
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        a, b = load_dataset(plain), load_dataset(bom)
+        assert (a.L, a.label) == (b.L, b.label)
+        for name in ("lambdas", "F", "dF"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         # written as under a UTF-8 locale, read and rewritten by an interpreter whose locale is ASCII
